@@ -17,6 +17,8 @@ This module fixes the computational interface only: systems expose a total
 from __future__ import annotations
 
 import threading
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
@@ -93,7 +95,9 @@ class ApproxSystem:
     _fast_scan = None
 
     def __init__(self):
+        # members found so far, in code order, and their codes
         self._prefix: List[Quadruple] = []
+        self._codes = array("q")
         self._scanned = 0
         self._prefix_lock = threading.Lock()
 
@@ -137,9 +141,11 @@ class ApproxSystem:
     def members_prefix(self, count: int, scan_cap: Optional[int] = None) -> List[Quadruple]:
         """First `count` members in enumeration order.
 
-        Scans codes up to scan_cap and returns what was found (possibly fewer
+        Scans codes below scan_cap and returns what was found (possibly fewer
         than requested, e.g. for sparse or empty systems).  The scan prefix is
-        cached on the instance, so overlapping requests share work.
+        cached on the instance, so overlapping requests share work; members
+        cached from beyond scan_cap are left out, so the result does not
+        depend on earlier requests.
         """
         if scan_cap is None:
             scan_cap = _DEFAULT_CAP_PER_MEMBER * count + _DEFAULT_CAP_FLOOR
@@ -147,14 +153,15 @@ class ApproxSystem:
             while len(self._prefix) < count and self._scanned < scan_cap:
                 hi = min(self._scanned + _SCAN_CHUNK, scan_cap)
                 if self._fast_scan is not None:
-                    self._prefix.extend(q for _, q in self._fast_scan(self._scanned, hi))
+                    found = self._fast_scan(self._scanned, hi)
                 else:
-                    for k in range(self._scanned, hi):
-                        q = self.enumerate(k)
-                        if q is not None:
-                            self._prefix.append(q)
+                    found = [(k, q) for k in range(self._scanned, hi)
+                             if (q := self.enumerate(k)) is not None]
+                self._codes.extend(k for k, _ in found)
+                self._prefix.extend(q for _, q in found)
                 self._scanned = hi
-            return self._prefix[:count]
+            end = bisect_left(self._codes, scan_cap, 0, min(count, len(self._codes)))
+            return self._prefix[:end]
 
 
 class DecidableSystem(ApproxSystem):

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .core import DecidableSystem, Quadruple
 from .errors import FormatError
@@ -310,15 +311,34 @@ def _eval_poly(poly: Poly, vals: Tuple[Rat, ...]) -> Rat:
     return total
 
 
-def eval_formula(formula: Formula, vals: Tuple[Rat, ...]) -> bool:
+def _holds(formula: Formula, atom_holds: Callable[[Atom], bool]) -> bool:
+    """Truth of a formula, given the truth of each of its atoms."""
     if isinstance(formula, Atom):
-        p = _eval_poly(formula.poly, vals)
-        return p > 0 if formula.op == ">" else p >= 0
-    if isinstance(formula, FAnd):
-        return all(eval_formula(f, vals) for f in formula.args)
-    if isinstance(formula, FOr):
-        return any(eval_formula(f, vals) for f in formula.args)
-    return not eval_formula(formula.arg, vals)
+        return atom_holds(formula)
+    if isinstance(formula, FNot):
+        return not _holds(formula.arg, atom_holds)
+    decisive = isinstance(formula, FOr)  # the value that ends an or (and)
+    for f in formula.args:
+        if _holds(f, atom_holds) is decisive:
+            return decisive
+    return not decisive
+
+
+def _atoms(formula: Formula) -> List[Atom]:
+    """Every atom occurrence in the formula, left to right."""
+    if isinstance(formula, Atom):
+        return [formula]
+    if isinstance(formula, FNot):
+        return _atoms(formula.arg)
+    return [at for f in formula.args for at in _atoms(f)]
+
+
+def _sign_holds(op: str, sign) -> bool:
+    return sign > 0 if op == ">" else sign >= 0
+
+
+def eval_formula(formula: Formula, vals: Tuple[Rat, ...]) -> bool:
+    return _holds(formula, lambda at: _sign_holds(at.op, _eval_poly(at.poly, vals)))
 
 
 def _validate_formula(node: Formula, nvars: int):
@@ -359,6 +379,21 @@ def formula_to_json(formula: Formula, nvars: int) -> dict:
     return {"vars": nvars, "formula": tree(formula)}
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _parse_coef(coef) -> Rat:
+    """A JSON coefficient: an integer, or a string "p" or "p/q"."""
+    if isinstance(coef, int) and not isinstance(coef, bool):
+        return Fraction(coef)
+    if isinstance(coef, str) and _RATIONAL.fullmatch(coef):
+        num, _, den = coef.partition("/")
+        if den and int(den) == 0:
+            raise FormatError(f"zero denominator in coefficient {coef!r}")
+        return Fraction(int(num), int(den or 1))
+    raise FormatError(f'polynomial coefficients must be integers or "p/q" strings: {coef!r}')
+
+
 def formula_from_json(doc) -> Tuple[Formula, int]:
     """Parse the on-disk formula format; FormatError on any malformation."""
     if not isinstance(doc, dict) or set(doc) != {"vars", "formula"}:
@@ -380,8 +415,14 @@ def formula_from_json(doc) -> Tuple[Formula, int]:
                 coef, exps = entry
                 if not isinstance(exps, list):
                     raise FormatError(f"exponent vector must be a list: {exps!r}")
-                monos.append((coef, tuple(exps)))
-            return Atom(node["op"], tuple(monos))
+                monos.append((_parse_coef(coef), tuple(exps)))
+            # a positive multiple keeps the atom's sign and clears "p/q"
+            scale = math.lcm(*(c.denominator for c, _ in monos))
+            poly = tuple((int(c * scale), e) for c, e in monos)
+            if node["op"] == "=":
+                negated = tuple((-c, e) for c, e in poly)
+                return FAnd((Atom(">=", poly), Atom(">=", negated)))
+            return Atom(node["op"], poly)
         if len(node) != 1:
             raise FormatError(f"ambiguous formula node: {sorted(node)!r}")
         (key, val), = node.items()
@@ -414,12 +455,128 @@ def load_formula(path) -> Tuple[Formula, int]:
     return formula_from_json(doc)
 
 
+def _simplest_dyadic(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
+    """The dyadic j/2^k in the open interval (lo, hi) with the least k.
+
+    None stands for an infinite end.  At k = 0 the interval may hold several
+    integers and the one of least magnitude is returned; for k >= 1 the
+    dyadic is unique, since two neighbours on the 2^-k grid include one on
+    the 2^-(k-1) grid.  Requires lo < hi.
+    """
+    first = None if lo is None else math.floor(lo) + 1
+    last = None if hi is None else math.ceil(hi) - 1
+    if first is None or last is None or first <= last:
+        j = 0
+        if first is not None:
+            j = max(j, first)
+        if last is not None:
+            j = min(j, last)
+        return Fraction(j)
+    # Both ends are finite now.  "Some multiple of 2^-k lies in (lo, hi)" is
+    # monotone in k and holds once 2^-k < hi - lo, so bisect on k.
+    w = hi - lo
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+    def above_lo(k: int) -> int:  # the least multiple of 2^-k above lo, times 2^k
+        return (ln << k) // ld + 1
+
+    k_lo, k_hi = 1, (w.denominator // w.numerator).bit_length()
+    while k_lo < k_hi:
+        k = (k_lo + k_hi) // 2
+        if above_lo(k) * hd < hn << k:
+            k_hi = k
+        else:
+            k_lo = k + 1
+    return Fraction(above_lo(k_lo), 1 << k_lo)
+
+
+def _linear_witness(formula: Formula, dim: int):
+    """Witness for a formula whose atoms all have degree <= 1 in b.
+
+    Returns None for formulas with a higher power of b.  Otherwise the
+    returned function finds, for given (a, m, n), a b satisfying the formula
+    by virtual substitution (Weispfenning, "The complexity of linear
+    problems in fields", J. Symb. Comp. 1988): each atom is c1*b + c0 with
+    c0, c1 fixed by (a, u, v); the roots -c0/c1 cut the b-line into open
+    cells on which every atom, hence the formula, has constant truth.  The
+    first satisfied open cell yields its simplest dyadic, which keeps result
+    bits O(log n); failing that, the first satisfying root; failing that,
+    None.  All arithmetic is exact, so a returned b satisfies the formula.
+    """
+    atoms = _atoms(formula)
+    if any(e[dim] > 1 for at in atoms for _, e in at.poly):
+        return None
+    # Scaling every atom by D = prod_x den(x)^top(x), with top(x) the largest
+    # exponent of x in the formula, keeps every sign and every root and
+    # leaves integer coefficients: monomial coef * prod_x x^e contributes
+    # coef * prod_x num(x)^e * den(x)^(top(x) - e).  x runs over
+    # (a_1..a_N, u, v); b's exponent (index dim) picks c1 or c0.
+    others = [i for i in range(dim + 3) if i != dim]
+    top = [max((e[i] for at in atoms for _, e in at.poly), default=0) for i in others]
+    monomials = [[(c, e[dim], [e[i] for i in others]) for c, e in at.poly] for at in atoms]
+
+    def witness(a: Point, m: int, n: int) -> Optional[Rat]:
+        fracs = [(x.numerator, x.denominator) for x in a] + [(1, m + 1), (1, n + 1)]
+        pows = [
+            [num ** e * den ** (t - e) for e in range(t + 1)]
+            for (num, den), t in zip(fracs, top)
+        ]
+        lines = []  # per atom: [c0, c1], integers
+        for monos in monomials:
+            c = [0, 0]
+            for coef, eb, es in monos:
+                term = coef
+                for p, e in zip(pows, es):
+                    term *= p[e]
+                c[eb] += term
+            lines.append(c)
+        atom_roots = [Fraction(-c0, c1) if c1 else None for c0, c1 in lines]
+        order = sorted((i for i, r in enumerate(atom_roots) if r is not None),
+                       key=atom_roots.__getitem__)
+        roots: List[Rat] = []
+        places = [-1] * len(atoms)
+        for i in order:
+            if not roots or atom_roots[i] != roots[-1]:
+                roots.append(atom_roots[i])
+            places[i] = 2 * len(roots) - 1
+        # Position p on the b-line: p = 2i is the open cell below roots[i]
+        # (above roots[-1] for i = len(roots)), p = 2i + 1 is roots[i].  An
+        # atom with root roots[i] has place 2i + 1 and the sign
+        # sign(c1) * sign(p - place); an atom free of b has place -1, below
+        # every p, and the sign of c0.
+        signed = {
+            id(at): ((c1 > 0) - (c1 < 0) if c1 else (c0 > 0) - (c0 < 0), place)
+            for at, (c0, c1), place in zip(atoms, lines, places)
+        }
+
+        def holds(p: int) -> bool:
+            def atom_holds(at: Atom) -> bool:
+                s, place = signed[id(at)]
+                return _sign_holds(at.op, s * ((p > place) - (p < place)))
+
+            return _holds(formula, atom_holds)
+
+        for i in range(len(roots) + 1):
+            if holds(2 * i):
+                lo = roots[i - 1] if i > 0 else None
+                hi = roots[i] if i < len(roots) else None
+                return _simplest_dyadic(lo, hi)
+        for i, r in enumerate(roots):
+            if holds(2 * i + 1):
+                return r
+        return None
+
+    return witness
+
+
 def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebraic") -> DecidableSystem:
     """System whose members are the quadruples satisfying `formula`.
 
     The formula is evaluated exactly at (a_1, ..., a_N, b, u, v) with
     u = 1/(m+1) and v = 1/(n+1).  Soundness is the formula author's burden;
-    the verifier module exists to audit it.
+    the verifier module exists to audit it.  When every atom has degree
+    <= 1 in b the system also provides a witness (see _linear_witness); like
+    every witness it is only a hint, and apply certifies it through decide.
     """
     _validate_formula(formula, dim)
 
@@ -427,7 +584,7 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
         vals = q.a + (q.b, Fraction(1, q.m + 1), Fraction(1, q.n + 1))
         return eval_formula(formula, vals)
 
-    return DecidableSystem(decide, dim, name=name)
+    return DecidableSystem(decide, dim, witness=_linear_witness(formula, dim), name=name)
 
 
 def squaring_formula() -> Tuple[Formula, int]:

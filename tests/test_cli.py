@@ -132,15 +132,17 @@ def test_eval_compose_usage_errors(capsys):
 
 
 def test_env_default_budget(capsys, monkeypatch):
+    # division at (0, 1), n = 0 certifies on its second probe: the witness 0
+    # fails at input precision m = 0 and passes at m = 1
     monkeypatch.setenv("APPROXSYS_DEFAULT_BUDGET", "1")
     code, _, err = run(
-        capsys, "eval", "--system", "square", "--point", "3/2",
+        capsys, "eval", "--system", "division", "--point", "0,1",
         "--prec-index", "0",
     )
     assert code == 2 and err.startswith("timeout:")
     # an explicit --budget wins over the environment
     code, out, _ = run(
-        capsys, "eval", "--system", "square", "--point", "3/2",
+        capsys, "eval", "--system", "division", "--point", "0,1",
         "--prec-index", "0", "--budget", "1000000",
     )
     assert code == 0
@@ -148,7 +150,7 @@ def test_env_default_budget(capsys, monkeypatch):
     for bad in ("abc", "0", "-5"):
         monkeypatch.setenv("APPROXSYS_DEFAULT_BUDGET", bad)
         code, _, err = run(
-            capsys, "eval", "--system", "square", "--point", "3/2",
+            capsys, "eval", "--system", "division", "--point", "0,1",
             "--prec-index", "0",
         )
         assert code == 1 and err.startswith("error:")

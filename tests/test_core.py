@@ -89,6 +89,20 @@ def test_members_prefix_deterministic_and_cached():
     assert div.members_prefix(50) == first[:50]
 
 
+@pytest.mark.parametrize("fresh", [
+    division_system.__wrapped__,  # bulk scanner
+    lambda: dovetail_enumerator(division_system().decide, 2),  # generic scan
+])
+def test_members_prefix_honours_scan_cap_on_warm_cache(fresh):
+    cold = fresh().members_prefix(256, scan_cap=2000)
+    warm_system = fresh()
+    warm_system.members_prefix(1000)
+    warm = warm_system.members_prefix(256, scan_cap=2000)
+    assert warm == cold
+    assert len(cold) == 209
+    assert all(encode_quadruple(q) < 2000 for q in cold)
+
+
 def test_members_prefix_in_enumeration_order():
     div = division_system()
     members = div.members_prefix(300)

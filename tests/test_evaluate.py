@@ -140,9 +140,26 @@ def test_eval_name_output_contract():
 
 
 def test_eval_name_respects_budget_schedule():
-    g = eval_name(squaring_system(), name_of_point((F(3, 2),)), make_budget_schedule(1))
+    # index 0 of division at (0, 1) needs two probes; the schedule allows one
+    point = name_of_point((F(0), F(1)))
+    assert apply(division_system(), point, 0, 10).search_steps == 2
+    g = eval_name(division_system(), point, make_budget_schedule(1))
     with pytest.raises(SearchTimeout):
         g.approx(0)
+    assert eval_name(division_system(), point, make_budget_schedule(2)).approx(0) == (F(0),)
+
+
+@pytest.mark.parametrize("x", [F(7, 4), F(-7, 4), F(2), F(-5, 2), F(13, 4), F(-4), F(4)])
+@pytest.mark.parametrize("n", [0, 1, 9, 999, 10**4])
+def test_square_certifies_through_witness(x, n):
+    res = apply(squaring_system(), name_of_point((x,)), n, 13)
+    assert abs(res.value - x * x) < F(1, n + 1)
+
+
+def test_square_at_three_halves_takes_at_most_two_probes():
+    res = apply(squaring_system(), name_of_point((F(3, 2),)), 999, 10**6)
+    assert res.search_steps <= 2
+    assert abs(res.value - F(9, 4)) < F(1, 1000)
 
 
 def test_composition_of_cosines():

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from approxsys.core import Membership, Quadruple
 from approxsys.errors import FormatError
+from approxsys.evaluate import apply
+from approxsys.names import name_of_point
 from approxsys.systems import (
     Atom,
     FAnd,
     FNot,
     FOr,
+    _atoms,
     _corners,
     _eval_poly,
     atom,
@@ -283,7 +286,29 @@ BAD_DOCS = [
     {"vars": 1, "formula": {"and": "nope"}},
     {"vars": 1, "formula": {"and": [], "or": []}},
     {"vars": 1, "formula": [1, 2]},
+    {"vars": 1, "formula": {"op": ">", "poly": [["1/0", [0, 0, 0, 0]]]}},
+    {"vars": 1, "formula": {"op": ">", "poly": [["1.5", [0, 0, 0, 0]]]}},
+    {"vars": 1, "formula": {"op": ">", "poly": [["1/-2", [0, 0, 0, 0]]]}},
+    {"vars": 1, "formula": {"op": ">", "poly": [["one", [0, 0, 0, 0]]]}},
+    {"vars": 1, "formula": {"op": "==", "poly": []}},
 ]
+
+
+def test_formula_from_json_rational_coefficients_and_equality():
+    # "p/q" coefficients: the atom is scaled by the lcm of its denominators
+    doc = {"vars": 1, "formula": {"op": ">", "poly": [
+        ["-1/6", [1, 0, 0, 0]], ["3/4", [0, 1, 0, 0]], [2, [0, 0, 0, 1]], ["5", [0, 0, 1, 0]],
+    ]}}
+    formula, _ = formula_from_json(doc)
+    assert formula == atom(">", (-2, (1, 0, 0, 0)), (9, (0, 1, 0, 0)),
+                           (24, (0, 0, 0, 1)), (60, (0, 0, 1, 0)))
+    # "=" reads as p >= 0 and -p >= 0
+    doc = {"vars": 1, "formula": {"op": "=", "poly": [["1/2", [0, 1, 0, 0]], [-1, [1, 0, 0, 0]]]}}
+    formula, _ = formula_from_json(doc)
+    assert formula == fand(atom(">=", (1, (0, 1, 0, 0)), (-2, (1, 0, 0, 0))),
+                           atom(">=", (-1, (0, 1, 0, 0)), (2, (1, 0, 0, 0))))
+    assert eval_formula(formula, (F(1), F(2), F(1), F(1)))
+    assert not eval_formula(formula, (F(1), F(3), F(1), F(1)))
 
 
 @pytest.mark.parametrize("doc", BAD_DOCS)
@@ -343,3 +368,113 @@ def test_squaring_left_branch_mirrors_right():
     decide = squaring_system().decide
     assert decide(Quadruple((F(-3, 2),), 7, F(9, 4), 1))
     assert not decide(Quadruple((F(-3, 2),), 4, F(9, 4), 1))
+
+
+# --- witness for formulas linear in b ------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(min_value=-8, max_value=8, max_denominator=64),
+    st.integers(0, 300),
+    st.integers(0, 300),
+)
+def test_squaring_witness_matches_closed_form(a, m, n):
+    sq = squaring_system()
+    w = sq.witness((a,), m, n)
+    assert w is None or sq.decide(Quadruple((a,), m, w, n))
+    u, v = F(1, m + 1), F(1, n + 1)
+    hi = max((a - u) ** 2, (a + u) ** 2)
+    lo = 0 if abs(a) < u else (abs(a) - u) ** 2
+    if hi - v < lo + v:
+        assert w is not None
+
+
+def test_squaring_witness_keeps_small_denominators():
+    sq = squaring_system()
+    for n in (9, 99, 999, 9999):
+        w = sq.witness((F(3, 2),), 4 * (n + 1) - 1, n)
+        assert w.denominator & (w.denominator - 1) == 0  # a power of two
+        assert w.denominator <= 4 * (n + 1)
+
+
+def test_witness_through_negation():
+    # identity x |-> x: not (b - a + u - v > 0) and not (a - b + u - v > 0)
+    A, B, U, V = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    formula = fand(
+        fnot(atom(">", (1, B), (-1, A), (1, U), (-1, V))),
+        fnot(atom(">", (1, A), (-1, B), (1, U), (-1, V))),
+    )
+    ident = semialgebraic_system(formula, 1, name="identity")
+    assert ident.provides_witness
+    x = F(5, 7)
+    for n in (0, 3, 100):
+        res = apply(ident, name_of_point((x,)), n, 1)
+        assert abs(res.value - x) < F(1, n + 1)
+    # u = v: only b = a itself, a root, satisfies the formula
+    assert ident.witness((x,), 4, 4) == x
+    assert ident.witness((x,), 3, 4) is None
+
+
+def test_equality_atom_witness_is_its_root():
+    doc = {"vars": 1, "formula": {"op": "=", "poly": [
+        ["1/2", [0, 1, 0, 0]], ["-3/4", [1, 0, 0, 0]], [2, [0, 0, 0, 1]],
+    ]}}
+    formula, nvars = formula_from_json(doc)
+    system = semialgebraic_system(formula, nvars)
+    w = system.witness((F(1, 3),), 3, 5)
+    assert w == F(3, 2) * F(1, 3) - 4 * F(1, 6)
+    assert system.decide(Quadruple((F(1, 3),), 3, w, 5))
+    assert not system.decide(Quadruple((F(1, 3),), 3, w + F(1, 1000), 5))
+
+
+def test_b_squared_formula_has_no_witness():
+    formula = atom(">=", (1, (0, 0, 0, 1)), (-1, (0, 2, 0, 0)))
+    system = semialgebraic_system(formula, 1)
+    assert not system.provides_witness
+    assert system.witness((F(0),), 0, 0) is None
+
+
+# atoms over (a, b, u, v) whose monomials have b-exponent 0 or 1
+LINEAR_ATOMS = st.builds(
+    lambda op, monos: atom(op, *monos),
+    st.sampled_from([">", ">="]),
+    st.lists(st.tuples(st.integers(-3, 3), st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                                     st.integers(0, 1), st.integers(0, 1))),
+             max_size=4),
+)
+LINEAR_FORMULAS = st.recursive(
+    LINEAR_ATOMS,
+    lambda sub: st.one_of(
+        st.lists(sub, max_size=3).map(lambda fs: fand(*fs)),
+        st.lists(sub, max_size=3).map(lambda fs: for_(*fs)),
+        sub.map(fnot),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LINEAR_FORMULAS, st.fractions(min_value=-4, max_value=4, max_denominator=9),
+       st.integers(0, 6), st.integers(0, 6))
+def test_linear_witness_sound_and_complete(formula, a, m, n):
+    system = semialgebraic_system(formula, 1)
+    assert system.provides_witness
+    w = system.witness((a,), m, n)
+    if w is not None:
+        assert system.decide(Quadruple((a,), m, w, n))
+        return
+    # no b holds: truth is constant between roots, so try every root, a
+    # point between each two neighbours and a point beyond either end
+    u, v = F(1, m + 1), F(1, n + 1)
+    roots = set()
+    for node in _atoms(formula):
+        c0 = _eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 0), (a, F(0), u, v))
+        c1 = _eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 1), (a, F(1), u, v))
+        if c1:
+            roots.add(-c0 / c1)
+    roots = sorted(roots) or [F(0)]
+    probes = roots + [(r + s) / 2 for r, s in zip(roots, roots[1:])]
+    probes += [roots[0] - 1, roots[-1] + 1]
+    for b in probes:
+        assert not system.decide(Quadruple((a,), m, b, n))
+
