@@ -13,7 +13,6 @@ from .core import (
     Membership,
     Quadruple,
     decode_quadruple,
-    dovetail_enumerator,
     encode_quadruple,
 )
 from .errors import (
@@ -60,10 +59,7 @@ from .numerics import (
     encode_point,
     encode_rat,
     encode_tuple,
-    format_rat,
-    pair3,
     rat_div,
-    unpair3,
 )
 from .systems import (
     Atom,

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .evaluate import apply, default_budget_schedule, eval_name, make_budget_schedule
 from .names import name_of_point
-from .numerics import Point, Rat, as_rat, decimal_str, format_rat
+from .numerics import Point, Rat, as_rat, decimal_str
 from .systems import (
     cosine_system,
     division_system,
@@ -75,6 +75,13 @@ class _UsageError(Exception):
     pass
 
 
+def _at_least(flag: str, value: Optional[int], least: int = 0):
+    """Usage error unless the option is unset or at least `least`."""
+    if value is not None and value < least:
+        kind = "a natural number" if least == 0 else "positive"
+        raise _UsageError(f"{flag} must be {kind}")
+
+
 def _parse_point(text: str) -> Point:
     try:
         return tuple(as_rat(part) for part in text.split(","))
@@ -105,15 +112,13 @@ def _precision_index(args) -> int:
         return max(0, math.ceil(Fraction(1) / eps) - 1)
     if args.prec_index is None:
         raise _UsageError("one of --prec-index or --eps is required")
-    if args.prec_index < 0:
-        raise _UsageError("--prec-index must be a natural number")
+    _at_least("--prec-index", args.prec_index)
     return args.prec_index
 
 
 def _budget_schedule(args):
     if args.budget is not None:
-        if args.budget < 0:
-            raise _UsageError("--budget must be a natural number")
+        _at_least("--budget", args.budget)
         return lambda i: args.budget
     base_text = os.environ.get("APPROXSYS_DEFAULT_BUDGET")
     if base_text is not None:
@@ -133,14 +138,14 @@ def _print_eval(value: Rat, n: int, steps: Optional[int], args):
     digits = args.digits if args.digits is not None else len(str(n + 1)) + 2
     if args.output == "json":
         doc = {
-            "value": format_rat(value),
+            "value": str(value),
             "decimal": decimal_str(value, digits),
             "precision_index": n,
             "search_steps": steps,
         }
         print(json.dumps(doc, sort_keys=True))
     else:
-        print(f"value = {format_rat(value)}")
+        print(f"value = {value}")
         print(f"decimal ~ {decimal_str(value, digits)}")
         print(f"precision_index = {n}")
         if steps is not None:
@@ -148,6 +153,7 @@ def _print_eval(value: Rat, n: int, steps: Optional[int], args):
 
 
 def _cmd_eval(args) -> int:
+    _at_least("--digits", args.digits)
     n = _precision_index(args)
     schedule = _budget_schedule(args)
     if (args.system is None) == (args.compose is None):
@@ -187,8 +193,8 @@ def _cmd_eval(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.system is None:
         raise _UsageError("--system is required")
-    if args.count < 0:
-        raise _UsageError("--count must be a natural number")
+    _at_least("--count", args.count)
+    _at_least("--scan-cap", args.scan_cap)
     system = _resolve_system(args.system)
     members = system.members_prefix(args.count, args.scan_cap)
     if args.output == "json":
@@ -196,9 +202,9 @@ def _cmd_enumerate(args) -> int:
             "system": system.name,
             "members": [
                 {
-                    "a": [format_rat(c) for c in q.a],
+                    "a": [str(c) for c in q.a],
                     "m": q.m,
-                    "b": format_rat(q.b),
+                    "b": str(q.b),
                     "n": q.n,
                 }
                 for q in members
@@ -207,8 +213,8 @@ def _cmd_enumerate(args) -> int:
         print(json.dumps(doc, sort_keys=True))
     else:
         for idx, q in enumerate(members):
-            coords = ", ".join(format_rat(c) for c in q.a)
-            print(f"#{idx}: a=({coords}) m={q.m} b={format_rat(q.b)} n={q.n}")
+            coords = ", ".join(str(c) for c in q.a)
+            print(f"#{idx}: a=({coords}) m={q.m} b={q.b} n={q.n}")
         if len(members) < args.count:
             print(f"(scan horizon reached after {len(members)} members)")
     return _EXIT_OK
@@ -229,6 +235,10 @@ def _verdict_lines(label: str, verdict: Verdict) -> List[str]:
 def _cmd_verify(args) -> int:
     if args.system is None:
         raise _UsageError("--system is required")
+    _at_least("--quads", args.quads, least=1)
+    _at_least("--xi-per-quad", args.xi_per_quad, least=1)
+    _at_least("--scan-cap", args.scan_cap)
+    _at_least("--cond2-n", args.cond2_n)
     system = _resolve_system(args.system)
     if args.oracle is not None:
         oracle = _ORACLES[args.oracle]()
@@ -243,6 +253,12 @@ def _cmd_verify(args) -> int:
             f"oracle {oracle.name} has dimension {oracle.dim}, "
             f"system {system.name} has dimension {system.dim_in}"
         )
+    if args.cond2_xi is not None:
+        xi = _parse_point(args.cond2_xi)
+        if len(xi) != system.dim_in:
+            raise _UsageError(
+                f"--cond2-xi must have dimension {system.dim_in}"
+            )
 
     verdicts = {}
     verdicts["condition1"] = verify_condition1(
@@ -250,11 +266,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed, scan_cap=args.scan_cap,
     )
     if args.cond2_xi is not None:
-        xi = _parse_point(args.cond2_xi)
-        if len(xi) != system.dim_in:
-            raise _UsageError(
-                f"--cond2-xi must have dimension {system.dim_in}"
-            )
         verdicts["condition2"] = verify_condition2(
             system, oracle, xi, args.cond2_n, seed=args.seed,
         )

@@ -21,6 +21,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from .errors import DimensionError
@@ -65,13 +66,21 @@ def encode_quadruple(q: Quadruple) -> int:
 
 def decode_quadruple(k: int, dim: int) -> Quadruple:
     i, rest = cantor_split(k)
+    return Quadruple(decode_point(i, dim), *_decode_tail(rest))
+
+
+@lru_cache(maxsize=1 << 12)
+def _decode_tail(rest: int) -> Tuple[int, Rat, int]:
+    """(m, b, n) from the tail C(m, C(j, n)) of a quadruple code.
+
+    Memoised like decode_point: the tail code grows only like the square
+    root of the quadruple code (about 460 distinct tails among the first
+    10^5 codes).
+    """
     m, rest = cantor_split(rest)
     j, n = cantor_split(rest)
-    return Quadruple(decode_point(i, dim), m, decode_rat(j), n)
+    return m, decode_rat(j), n
 
-
-# Internal granularity of the enumeration-prefix cache.
-_SCAN_CHUNK = 1 << 16
 
 # scan_cap=None means "a horizon proportional to the request": generous for
 # the built-in systems, finite for pathological ones.
@@ -91,8 +100,6 @@ class ApproxSystem:
     name: str = "system"
     decide: Optional[Callable[[Quadruple], bool]] = None
     provides_witness: bool = False
-    # optional bulk scanner (lo, hi) -> [(k, member)], must agree with enumerate
-    _fast_scan = None
 
     def __init__(self):
         # members found so far, in code order, and their codes
@@ -141,25 +148,23 @@ class ApproxSystem:
     def members_prefix(self, count: int, scan_cap: Optional[int] = None) -> List[Quadruple]:
         """First `count` members in enumeration order.
 
-        Scans codes below scan_cap and returns what was found (possibly fewer
-        than requested, e.g. for sparse or empty systems).  The scan prefix is
-        cached on the instance, so overlapping requests share work; members
-        cached from beyond scan_cap are left out, so the result does not
-        depend on earlier requests.
+        Scans codes below scan_cap, stopping at the count-th member, and
+        returns what was found (possibly fewer than requested, e.g. for
+        sparse or empty systems).  The scan prefix is cached on the instance
+        and later requests resume where it stopped; members cached from
+        beyond scan_cap are left out, so the result does not depend on
+        earlier requests.
         """
         if scan_cap is None:
             scan_cap = _DEFAULT_CAP_PER_MEMBER * count + _DEFAULT_CAP_FLOOR
         with self._prefix_lock:
             while len(self._prefix) < count and self._scanned < scan_cap:
-                hi = min(self._scanned + _SCAN_CHUNK, scan_cap)
-                if self._fast_scan is not None:
-                    found = self._fast_scan(self._scanned, hi)
-                else:
-                    found = [(k, q) for k in range(self._scanned, hi)
-                             if (q := self.enumerate(k)) is not None]
-                self._codes.extend(k for k, _ in found)
-                self._prefix.extend(q for _, q in found)
-                self._scanned = hi
+                k = self._scanned
+                q = self.enumerate(k)
+                if q is not None:
+                    self._codes.append(k)
+                    self._prefix.append(q)
+                self._scanned = k + 1
             end = bisect_left(self._codes, scan_cap, 0, min(count, len(self._codes)))
             return self._prefix[:end]
 
@@ -178,7 +183,6 @@ class DecidableSystem(ApproxSystem):
         *,
         witness: Optional[Callable[[Point, int, int], Optional[Rat]]] = None,
         name: str = "system",
-        fast_scan=None,
     ):
         super().__init__()
         if dim <= 0:
@@ -188,7 +192,6 @@ class DecidableSystem(ApproxSystem):
         self.decide = decide
         self._witness = witness
         self.provides_witness = witness is not None
-        self._fast_scan = fast_scan
 
     def enumerate(self, k: int) -> Optional[Quadruple]:
         q = decode_quadruple(k, self.dim_in)
@@ -198,14 +201,3 @@ class DecidableSystem(ApproxSystem):
         if self._witness is None:
             return None
         return self._witness(a, m, n)
-
-
-def dovetail_enumerator(
-    decide: Callable[[Quadruple], bool],
-    dim: int,
-    *,
-    witness: Optional[Callable[[Point, int, int], Optional[Rat]]] = None,
-    name: str = "system",
-) -> DecidableSystem:
-    """Package a decidable quadruple predicate as a full system."""
-    return DecidableSystem(decide, dim, witness=witness, name=name)

@@ -45,7 +45,6 @@ from .numerics import (
     decode_rat,
     decode_tuple,
     dist,
-    pair3,
 )
 
 # Phase A input-precision ladder: l = (n+1)*2^t - 1 for t = 0..12.
@@ -129,7 +128,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
         if anchor is None:
             # level 0: sweep small (l, j, s) codes for any certifiable value
             for g in range(_BOOT_SWEEP):
-                l, j, s = pair3(g)
+                l, j, s = decode_tuple(g, 3)
                 quad = Quadruple(f.approx(l), l, decode_rat(j), level)
                 if _probe(system, quad, s, probes):
                     found = quad.b
@@ -161,7 +160,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
     # phase C: exhaustive dovetailing at the requested precision
     g = 0
     while True:
-        l, j, s = pair3(g)
+        l, j, s = decode_tuple(g, 3)
         quad = Quadruple(f.approx(l), l, decode_rat(j), n)
         if _probe(system, quad, s, probes):
             return EvalResult(quad.b, n, probes.used)

@@ -24,11 +24,17 @@ def _division_decide(q: Quadruple) -> bool:
     # b must be the exact quotient, and the input radius small enough that
     # every point of the ball keeps the quotient within 1/(n+1):
     # sup |x1/x2 - b| over the ball is (1/(m+1)) * (|b| + 1/(m+1) + ...); the
-    # closed form below is the integer test that bounds it strictly.
+    # closed form (m+1)|a2| >= 1 + (n+1)(|b|+1) is the test that bounds it
+    # strictly.  Both tests are cross-multiplied by the positive
+    # denominators of a1 = p1/q1, a2 = p2/q2, b = pb/qb, so they run on
+    # integers.
     a1, a2 = q.a
-    if a2 * q.b != a1:
+    p1, q1 = a1.numerator, a1.denominator
+    p2, q2 = a2.numerator, a2.denominator
+    pb, qb = q.b.numerator, q.b.denominator
+    if p2 * pb * q1 != p1 * q2 * qb:
         return False
-    return (q.m + 1) * abs(a2) >= 1 + (q.n + 1) * (abs(q.b) + 1)
+    return (q.m + 1) * abs(p2) * qb >= q2 * (qb + (q.n + 1) * (abs(pb) + qb))
 
 
 def _division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
@@ -36,68 +42,6 @@ def _division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
     if a2 == 0:
         return None
     return a1 / a2
-
-
-def _division_fast_scan(lo: int, hi: int):
-    """Bulk form of enumerate for the division system.
-
-    Identical verdicts to decode_quadruple + _division_decide, but with the
-    pairing inverses inlined on machine integers; Fractions are built only
-    for accepted codes.  The cross-multiplied tests are representation-free,
-    so the non-reduced (r - s, t + 1) readings of the codes are safe.
-    """
-    isqrt = math.isqrt
-    out = []
-    for k in range(lo, hi):
-        t = (isqrt(8 * k + 1) - 1) // 2
-        rest = k - t * (t + 1) // 2
-        i = t - rest
-        t = (isqrt(8 * rest + 1) - 1) // 2
-        rest2 = rest - t * (t + 1) // 2
-        m = t - rest2
-        t = (isqrt(8 * rest2 + 1) - 1) // 2
-        n = rest2 - t * (t + 1) // 2
-        j = t - n
-
-        t = (isqrt(8 * i + 1) - 1) // 2
-        c2 = i - t * (t + 1) // 2
-        c1 = t - c2
-
-        t = (isqrt(8 * c2 + 1) - 1) // 2
-        t2 = c2 - t * (t + 1) // 2
-        w = t - t2
-        t = (isqrt(8 * w + 1) - 1) // 2
-        s2 = w - t * (t + 1) // 2
-        p2 = t - s2 - s2
-        if p2 == 0:
-            continue
-        q2 = t2 + 1
-
-        t = (isqrt(8 * c1 + 1) - 1) // 2
-        t1 = c1 - t * (t + 1) // 2
-        w = t - t1
-        t = (isqrt(8 * w + 1) - 1) // 2
-        s1 = w - t * (t + 1) // 2
-        p1 = t - s1 - s1
-        q1 = t1 + 1
-
-        t = (isqrt(8 * j + 1) - 1) // 2
-        tb = j - t * (t + 1) // 2
-        w = t - tb
-        t = (isqrt(8 * w + 1) - 1) // 2
-        sb = w - t * (t + 1) // 2
-        pb = t - sb - sb
-        qb = tb + 1
-
-        if p2 * pb * q1 != p1 * q2 * qb:
-            continue
-        if (m + 1) * abs(p2) * qb < q2 * qb + (n + 1) * (abs(pb) + qb) * q2:
-            continue
-        quad = Quadruple(
-            (Fraction(p1, q1), Fraction(p2, q2)), m, Fraction(pb, qb), n
-        )
-        out.append((k, quad))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +52,6 @@ def division_system() -> DecidableSystem:
         dim=2,
         witness=_division_witness,
         name="division",
-        fast_scan=_division_fast_scan,
     )
 
 

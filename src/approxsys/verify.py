@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple
 from .errors import DomainError
-from .numerics import Point, Rat, dist, format_rat, rat_div
+from .numerics import Point, Rat, dist, rat_div
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class Verdict:
 
 def _quad_dict(q: Quadruple) -> dict:
     return {
-        "a": [format_rat(c) for c in q.a],
+        "a": [str(c) for c in q.a],
         "m": q.m,
-        "b": format_rat(q.b),
+        "b": str(q.b),
         "n": q.n,
     }
 
@@ -209,10 +209,10 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
                     seed=seed,
                     witness={
                         "quad": _quad_dict(quad),
-                        "xi": [format_rat(c) for c in xi],
-                        "oracle_value": format_rat(approx),
-                        "distance": format_rat(d),
-                        "bound": format_rat(bound),
+                        "xi": [str(c) for c in xi],
+                        "oracle_value": str(approx),
+                        "distance": str(d),
+                        "bound": str(bound),
                     },
                     diagnostics="sampled point violates the quadruple's promise",
                 )

@@ -108,6 +108,15 @@ def test_eval_usage_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_eval_negative_digits_prints_nothing(capsys):
+    code, out, err = run(
+        capsys, "eval", "--system", "division", "--point", "1,3",
+        "--prec-index", "4", "--digits", "-2",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--digits" in err
+
+
 def test_eval_compose(capsys):
     code, out, _ = run(
         capsys, "eval", "--compose", "cosine,cosine", "--point", "1",
@@ -185,6 +194,14 @@ def test_enumerate_count_zero_and_negative(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_enumerate_negative_scan_cap(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--system", "division", "--scan-cap", "-4",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--scan-cap" in err
+
+
 def test_enumerate_scan_horizon_message(capsys, tmp_path):
     path = tmp_path / "nothing.json"
     path.write_text(json.dumps(formula_to_json(atom(">"), 1)))
@@ -249,12 +266,32 @@ def test_verify_oracle_dimension_mismatch(capsys):
     assert code == 1 and "dimension" in err
 
 
-def test_verify_cond2_xi_dimension(capsys):
+def test_verify_cond2_xi_dimension(capsys, monkeypatch):
+    def audit_must_not_run(*args, **kwargs):
+        raise AssertionError("condition 1 audited before --cond2-xi was checked")
+
+    monkeypatch.setattr(cli, "verify_condition1", audit_must_not_run)
     code, _, err = run(
         capsys, "verify", "--system", "division", "--quads", "10",
         "--cond2-xi", "1",
     )
-    assert code == 1
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--cond2-n", "-1"),  # used to crash with ZeroDivisionError
+    ("--quads", "-5"),  # these three used to pass with samples = 0
+    ("--quads", "0"),
+    ("--xi-per-quad", "0"),
+    ("--xi-per-quad", "-3"),
+    ("--scan-cap", "-4"),
+])
+def test_verify_usage_errors(capsys, flag, value):
+    code, out, err = run(
+        capsys, "verify", "--system", "division", "--cond2-xi", "1,3", flag, value,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err
 
 
 # --- formula files ---------------------------------------------------------------------

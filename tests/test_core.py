@@ -9,11 +9,15 @@ from approxsys.core import (
     Membership,
     Quadruple,
     decode_quadruple,
-    dovetail_enumerator,
     encode_quadruple,
 )
 from approxsys.errors import DimensionError
-from approxsys.systems import division_system
+from approxsys.systems import (
+    cosine_system,
+    division_system,
+    maximal_division_system,
+    squaring_system,
+)
 
 rationals = st.fractions(max_denominator=60)
 small_nats = st.integers(min_value=0, max_value=200)
@@ -89,10 +93,7 @@ def test_members_prefix_deterministic_and_cached():
     assert div.members_prefix(50) == first[:50]
 
 
-@pytest.mark.parametrize("fresh", [
-    division_system.__wrapped__,  # bulk scanner
-    lambda: dovetail_enumerator(division_system().decide, 2),  # generic scan
-])
+@pytest.mark.parametrize("fresh", [division_system.__wrapped__])
 def test_members_prefix_honours_scan_cap_on_warm_cache(fresh):
     cold = fresh().members_prefix(256, scan_cap=2000)
     warm_system = fresh()
@@ -117,18 +118,18 @@ def test_members_prefix_in_enumeration_order():
 
 
 def test_empty_system_scan_terminates():
-    empty = dovetail_enumerator(lambda q: False, 1, name="empty")
+    empty = DecidableSystem(lambda q: False, 1, name="empty")
     assert empty.members_prefix(5, scan_cap=5000) == []
 
 
 def test_full_system_enumerates_every_code():
-    full = dovetail_enumerator(lambda q: True, 1, name="full")
+    full = DecidableSystem(lambda q: True, 1, name="full")
     for k in range(50):
         assert full.enumerate(k) == decode_quadruple(k, 1)
 
 
-def test_dovetail_enumerator_witness_plumbing():
-    bare = dovetail_enumerator(lambda q: True, 1)
+def test_decidable_system_witness_plumbing():
+    bare = DecidableSystem(lambda q: True, 1)
     assert not bare.provides_witness
     assert bare.witness((F(0),), 3, 3) is None
 
@@ -139,9 +140,33 @@ def test_dovetail_enumerator_witness_plumbing():
     assert with_hint.witness((F(0),), 3, 3) == F(7)
 
 
-def test_division_fast_scan_agrees_with_enumerate():
-    div = division_system()
-    fast = div._fast_scan(0, 60_000)
-    slow = [(k, div.enumerate(k)) for k in range(60_000)]
-    slow = [(k, q) for k, q in slow if q is not None]
-    assert fast == slow
+@pytest.mark.parametrize("ctor", [
+    division_system, maximal_division_system, cosine_system, squaring_system,
+], ids=lambda ctor: ctor.__name__)
+def test_members_prefix_equals_reference_scan(ctor):
+    system = ctor.__wrapped__()
+    reference = []
+    k = 0
+    while len(reference) < 200:
+        q = decode_quadruple(k, system.dim_in)
+        if system.decide(q):
+            reference.append(q)
+        k += 1
+    assert system.members_prefix(200) == reference
+
+
+def test_members_prefix_scans_only_to_the_count_th_member():
+    calls = 0
+
+    def counting_decide(q):
+        nonlocal calls
+        calls += 1
+        return division_system().decide(q)
+
+    div = DecidableSystem(counting_decide, 2)
+    assert len(div.members_prefix(5)) == 5
+    assert calls == 57  # the 5th member sits at code 56
+    assert len(div.members_prefix(10)) == 10
+    assert calls == 57 + 41  # resumed at code 57, not rescanned
+    div.members_prefix(5)
+    assert calls == 98  # served from the cache

@@ -17,8 +17,6 @@ from approxsys.numerics import (
     encode_point,
     encode_rat,
     encode_tuple,
-    pair3,
-    unpair3,
 )
 
 naturals = st.integers(min_value=0, max_value=10**6)
@@ -65,16 +63,16 @@ def test_pairing_bijective_prefix():
         assert cantor_join(*pair) == k
 
 
-def test_pair3_frozen():
-    assert pair3(0) == (0, 0, 0)
-    assert pair3(1) == (1, 0, 0)
-    assert pair3(2) == (0, 0, 1)
-    assert pair3(3) == (0, 1, 0)
+def test_triple_code_frozen():
+    assert decode_tuple(0, 3) == (0, 0, 0)
+    assert decode_tuple(1, 3) == (1, 0, 0)
+    assert decode_tuple(2, 3) == (0, 0, 1)
+    assert decode_tuple(3, 3) == (0, 1, 0)
 
 
 @given(naturals, naturals, naturals)
-def test_pair3_round_trip(x, y, z):
-    assert pair3(unpair3(x, y, z)) == (x, y, z)
+def test_triple_code_round_trip(x, y, z):
+    assert decode_tuple(encode_tuple((x, y, z)), 3) == (x, y, z)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=6))
@@ -109,7 +107,7 @@ def test_encode_rat_frozen(value, code):
 
 def test_decode_rat_not_injective():
     # (1,0,1) at code 4 and (2,1,1) at code 37 both read 1/2
-    assert pair3(37) == (2, 1, 1)
+    assert decode_tuple(37, 3) == (2, 1, 1)
     assert decode_rat(4) == decode_rat(37) == F(1, 2)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from approxsys.core import ApproxSystem, DecidableSystem, Quadruple, dovetail_enumerator
+from approxsys.core import ApproxSystem, DecidableSystem, Quadruple
 from approxsys.errors import DomainError
 from approxsys.systems import (
     _corners,
@@ -128,7 +128,7 @@ def test_cosine_soundness_never_refuted():
 
 
 def test_empty_system_passes_vacuously():
-    empty = dovetail_enumerator(lambda q: False, 2, name="empty")
+    empty = DecidableSystem(lambda q: False, 2, name="empty")
     v = verify_condition1(empty, division_oracle(), quad_samples=5, scan_cap=2000)
     assert v.outcome is Outcome.PASS
     assert v.samples == 0
