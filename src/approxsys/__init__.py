@@ -68,7 +68,6 @@ from .systems import (
     FOr,
     cosine_system,
     division_system,
-    eval_formula,
     formula_from_json,
     formula_to_json,
     load_formula,

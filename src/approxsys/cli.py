@@ -12,11 +12,10 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .core import ApproxSystem
 from .errors import (
-    ApproxSysError,
     DimensionError,
     DomainError,
     FormatError,
@@ -247,11 +246,6 @@ def _cmd_verify(args) -> int:
     else:
         raise _UsageError(
             "formula systems need --oracle to say what they claim to compute"
-        )
-    if oracle.dim != system.dim_in:
-        raise _UsageError(
-            f"oracle {oracle.name} has dimension {oracle.dim}, "
-            f"system {system.name} has dimension {system.dim_in}"
         )
     if args.cond2_xi is not None:
         xi = _parse_point(args.cond2_xi)

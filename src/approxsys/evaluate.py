@@ -14,7 +14,8 @@ layered for practicality:
 
   phase A  witness ladder: ask the system for a candidate b at input
            precisions l = (n+1)*2^t - 1 and certify it (hit for the
-           built-ins: exact-quotient and Taylor-midpoint hints);
+           built-ins: exact-quotient and Taylor-midpoint hints, and for
+           square, like every formula linear in b, virtual substitution);
   phase B  precision cascade: certify *some* value at coarse precision by a
            bounded sweep of small codes, then walk precision levels
            n_0 < n_1 < ... < n (each roughly doubling), refining a dyadic
@@ -167,15 +168,14 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
         g += 1
 
 
-def default_budget_schedule(n: int) -> int:
-    return 10_000 * (1 << n)
-
-
 def make_budget_schedule(base: int) -> Callable[[int], int]:
     def schedule(n: int) -> int:
         return base * (1 << n)
 
     return schedule
+
+
+default_budget_schedule = make_budget_schedule(10_000)
 
 
 def eval_name(system: ApproxSystem, f: OrdinaryName,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from .core import DecidableSystem, Quadruple
 from .errors import FormatError
-from .numerics import Point, Rat, rat_div
+from .numerics import Point, Rat
 
 # --- division ----------------------------------------------------------------
 
@@ -243,17 +244,6 @@ def fnot(arg: Formula) -> FNot:
     return FNot(arg)
 
 
-def _eval_poly(poly: Poly, vals: Tuple[Rat, ...]) -> Rat:
-    total = Fraction(0)
-    for coef, exps in poly:
-        term = Fraction(coef)
-        for val, e in zip(vals, exps):
-            if e:
-                term *= val ** e
-        total += term
-    return total
-
-
 def _holds(formula: Formula, atom_holds: Callable[[Atom], bool]) -> bool:
     """Truth of a formula, given the truth of each of its atoms."""
     if isinstance(formula, Atom):
@@ -280,8 +270,39 @@ def _sign_holds(op: str, sign) -> bool:
     return sign > 0 if op == ">" else sign >= 0
 
 
-def eval_formula(formula: Formula, vals: Tuple[Rat, ...]) -> bool:
-    return _holds(formula, lambda at: _sign_holds(at.op, _eval_poly(at.poly, vals)))
+def _compile(formula: Formula, dim: int):
+    """The formula's atoms, its degree deg >= 1 in b, and their integer evaluator.
+
+    coefficients(a, m, n) gives per atom [c_0, .., c_deg] with D * atom =
+    sum_e c_e * b^e, where D = prod_x den(x)^top(x) > 0 over x in
+    (a_1..a_N, u, v) and top(x) is x's largest exponent in the formula:
+    monomial coef * prod_x x^e adds coef * prod_x num(x)^e * den(x)^(top(x) - e)
+    to c at b's exponent.  Scaling by D keeps every sign and every root in b.
+    """
+    atoms = _atoms(formula)
+    others = [i for i in range(dim + 3) if i != dim]
+    top = [max((e[i] for at in atoms for _, e in at.poly), default=0) for i in others]
+    deg = max([1, *(e[dim] for at in atoms for _, e in at.poly)])
+    # num(x)^e * den(x)^(top(x) - e) sits at offset(x) + e of one flat list
+    offsets = [sum(top[:k]) + k for k in range(len(top))]
+    monomials = [[(c, e[dim], [o + e[i] for o, i in zip(offsets, others)]) for c, e in at.poly]
+                 for at in atoms]
+
+    def coefficients(a: Point, m: int, n: int) -> List[List[int]]:
+        fracs = [(x.numerator, x.denominator) for x in a] + [(1, m + 1), (1, n + 1)]
+        pows = [num ** e * den ** (t - e) for (num, den), t in zip(fracs, top) for e in range(t + 1)]
+        rows = []
+        for monos in monomials:
+            c = [0] * (deg + 1)
+            for coef, eb, where in monos:
+                term = coef
+                for j in where:
+                    term *= pows[j]
+                c[eb] += term
+            rows.append(c)
+        return rows
+
+    return atoms, deg, coefficients
 
 
 def _validate_formula(node: Formula, nvars: int):
@@ -433,46 +454,21 @@ def _simplest_dyadic(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     return Fraction(above_lo(k_lo), 1 << k_lo)
 
 
-def _linear_witness(formula: Formula, dim: int):
+def _linear_witness(formula: Formula, atoms: List[Atom], coefficients):
     """Witness for a formula whose atoms all have degree <= 1 in b.
 
-    Returns None for formulas with a higher power of b.  Otherwise the
-    returned function finds, for given (a, m, n), a b satisfying the formula
-    by virtual substitution (Weispfenning, "The complexity of linear
-    problems in fields", J. Symb. Comp. 1988): each atom is c1*b + c0 with
-    c0, c1 fixed by (a, u, v); the roots -c0/c1 cut the b-line into open
-    cells on which every atom, hence the formula, has constant truth.  The
-    first satisfied open cell yields its simplest dyadic, which keeps result
-    bits O(log n); failing that, the first satisfying root; failing that,
-    None.  All arithmetic is exact, so a returned b satisfies the formula.
+    The returned function finds, for given (a, m, n), a b satisfying the
+    formula by virtual substitution (Weispfenning, "The complexity of linear
+    problems in fields", J. Symb. Comp. 1988): coefficients gives each atom,
+    up to a positive factor, as c1*b + c0; the roots -c0/c1 cut the b-line
+    into open cells on which every atom, hence the formula, has constant
+    truth.  The first satisfied open cell yields its simplest dyadic, which
+    keeps result bits O(log n); failing that, the first satisfying root;
+    failing that, None.  Exact arithmetic makes a returned b satisfy it.
     """
-    atoms = _atoms(formula)
-    if any(e[dim] > 1 for at in atoms for _, e in at.poly):
-        return None
-    # Scaling every atom by D = prod_x den(x)^top(x), with top(x) the largest
-    # exponent of x in the formula, keeps every sign and every root and
-    # leaves integer coefficients: monomial coef * prod_x x^e contributes
-    # coef * prod_x num(x)^e * den(x)^(top(x) - e).  x runs over
-    # (a_1..a_N, u, v); b's exponent (index dim) picks c1 or c0.
-    others = [i for i in range(dim + 3) if i != dim]
-    top = [max((e[i] for at in atoms for _, e in at.poly), default=0) for i in others]
-    monomials = [[(c, e[dim], [e[i] for i in others]) for c, e in at.poly] for at in atoms]
 
     def witness(a: Point, m: int, n: int) -> Optional[Rat]:
-        fracs = [(x.numerator, x.denominator) for x in a] + [(1, m + 1), (1, n + 1)]
-        pows = [
-            [num ** e * den ** (t - e) for e in range(t + 1)]
-            for (num, den), t in zip(fracs, top)
-        ]
-        lines = []  # per atom: [c0, c1], integers
-        for monos in monomials:
-            c = [0, 0]
-            for coef, eb, es in monos:
-                term = coef
-                for p, e in zip(pows, es):
-                    term *= p[e]
-                c[eb] += term
-            lines.append(c)
+        lines = coefficients(a, m, n)  # per atom: [c0, c1]
         atom_roots = [Fraction(-c0, c1) if c1 else None for c0, c1 in lines]
         order = sorted((i for i, r in enumerate(atom_roots) if r is not None),
                        key=atom_roots.__getitem__)
@@ -516,18 +512,26 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     """System whose members are the quadruples satisfying `formula`.
 
     The formula is evaluated exactly at (a_1, ..., a_N, b, u, v) with
-    u = 1/(m+1) and v = 1/(n+1).  Soundness is the formula author's burden;
-    the verifier module exists to audit it.  When every atom has degree
-    <= 1 in b the system also provides a witness (see _linear_witness); like
-    every witness it is only a hint, and apply certifies it through decide.
+    u = 1/(m+1) and v = 1/(n+1), in integers: b = pb/qb enters each atom as
+    sum_e c_e * pb^e * qb^(deg - e) (see _compile), a positive multiple of
+    its value.  Soundness is the formula author's burden; the verifier
+    module exists to audit it.  When every atom has degree <= 1 in b the
+    system also provides a witness (see _linear_witness); like every witness
+    it is only a hint, and apply certifies it through decide.
     """
     _validate_formula(formula, dim)
+    atoms, deg, coefficients = _compile(formula, dim)
+    row_of = {id(at): i for i, at in enumerate(atoms)}
 
     def decide(q: Quadruple) -> bool:
-        vals = q.a + (q.b, Fraction(1, q.m + 1), Fraction(1, q.n + 1))
-        return eval_formula(formula, vals)
+        pb, qb = q.b.numerator, q.b.denominator
+        bpows = [pb ** e * qb ** (deg - e) for e in range(deg + 1)]
+        rows = coefficients(q.a, q.m, q.n)
+        return _holds(formula, lambda at: _sign_holds(
+            at.op, sum(map(operator.mul, rows[row_of[id(at)]], bpows))))
 
-    return DecidableSystem(decide, dim, witness=_linear_witness(formula, dim), name=name)
+    witness = _linear_witness(formula, atoms, coefficients) if deg == 1 else None
+    return DecidableSystem(decide, dim, witness=witness, name=name)
 
 
 def squaring_formula() -> Tuple[Formula, int]:

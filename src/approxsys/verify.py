@@ -5,23 +5,22 @@ found at these sample sizes and seed".  CounterExample verdicts carry the
 offending quadruple and point and are always genuine relative to the oracle's
 accuracy contract.  When an inexact oracle cannot separate a distance from
 the bound, the verdict degrades to Inconclusive rather than guessing.
+Every audit raises DimensionError before any work on mismatched dimensions.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from .core import ApproxSystem, Membership, Quadruple
-from .errors import DomainError
-from .numerics import Point, Rat, dist, rat_div
+from .errors import DimensionError, DomainError
+from .numerics import Point, Rat, rat_div
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,11 @@ def _quad_dict(q: Quadruple) -> dict:
         "b": str(q.b),
         "n": q.n,
     }
+
+
+def _same_dim(left: str, left_dim: int, right: str, right_dim: int):
+    if left_dim != right_dim:
+        raise DimensionError(f"{left} has dimension {left_dim}, {right} has dimension {right_dim}")
 
 
 # --- reference oracles ----------------------------------------------------------
@@ -191,6 +195,7 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     inside the margin band is recorded and reported Inconclusive unless a
     real counterexample also shows up.
     """
+    _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     rng = random.Random(seed)
     quads = system.members_prefix(quad_samples, scan_cap)
     samples = 0
@@ -247,6 +252,8 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     bounded enumeration scan.  Pass records the first m that served all
     samples; exhaustion is Inconclusive, never a refutation.
     """
+    _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
+    _same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
     rng = random.Random(seed)
     quarter = Fraction(1, 4 * (n + 1))
     samples = 0
@@ -303,6 +310,7 @@ def brute_force_condition1_check(a: Point, m: int, b: Rat, n: int,
     """
     if not oracle.exact:
         raise DomainError("brute_force_condition1_check needs an exact oracle")
+    _same_dim("point a", len(a), f"oracle {oracle.name}", oracle.dim)
     r = Fraction(1, m + 1)
     bound = Fraction(1, n + 1)
     offsets = [r * Fraction(2 * j + 1 - grid, grid) for j in range(grid)]
@@ -325,18 +333,12 @@ def verify_containment(sub: ApproxSystem, sup: ApproxSystem, count: int = 1000,
     when `sup` is merely enumerable, absence within the budget is only
     Inconclusive.
     """
+    _same_dim(f"system {sub.name}", sub.dim_in, f"system {sup.name}", sup.dim_in)
     quads = sub.members_prefix(count, scan_cap)
     for idx, q in enumerate(quads):
-        if sup.decide is not None:
-            ok = sup.decide(q)
-        else:
-            ok = sup.membership(q, budget) is Membership.YES
-        if not ok:
-            outcome = (
-                Outcome.COUNTER_EXAMPLE if sup.decide is not None else Outcome.INCONCLUSIVE
-            )
+        if sup.membership(q, budget) is not Membership.YES:
             return Verdict(
-                outcome,
+                Outcome.COUNTER_EXAMPLE if sup.decide is not None else Outcome.INCONCLUSIVE,
                 samples=idx + 1,
                 witness={"quad": _quad_dict(q)},
                 diagnostics=f"member #{idx} of {sub.name} not accepted by {sup.name}",

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from approxsys.core import Membership, Quadruple
+from approxsys.core import Membership, Quadruple, decode_quadruple
 from approxsys.errors import FormatError
 from approxsys.evaluate import apply
 from approxsys.names import name_of_point
@@ -15,11 +15,9 @@ from approxsys.systems import (
     FOr,
     _atoms,
     _corners,
-    _eval_poly,
     atom,
     cosine_system,
     division_system,
-    eval_formula,
     fand,
     fnot,
     for_,
@@ -200,11 +198,40 @@ def test_cosine_witness_certifies():
 
 # --- formulas ----------------------------------------------------------------
 
+# Reference evaluator: the formula read literally at (a_1..a_N, b, u, v) in
+# Fraction arithmetic.  semialgebraic_system evaluates in integers instead,
+# and must agree with it everywhere.
+
+def eval_poly(poly, vals):
+    total = F(0)
+    for coef, exps in poly:
+        term = F(coef)
+        for val, e in zip(vals, exps):
+            if e:
+                term *= val ** e
+        total += term
+    return total
+
+
+def eval_formula(formula, vals) -> bool:
+    if isinstance(formula, Atom):
+        value = eval_poly(formula.poly, vals)
+        return value > 0 if formula.op == ">" else value >= 0
+    if isinstance(formula, FNot):
+        return not eval_formula(formula.arg, vals)
+    truths = (eval_formula(f, vals) for f in formula.args)
+    return all(truths) if isinstance(formula, FAnd) else any(truths)
+
+
+def reference_decide(formula, q: Quadruple) -> bool:
+    return eval_formula(formula, q.a + (q.b, F(1, q.m + 1), F(1, q.n + 1)))
+
+
 def test_eval_poly_frozen():
     # 2*a^2*v - 3*b over (a, b, u, v)
     poly = ((2, (2, 0, 0, 1)), (-3, (0, 1, 0, 0)))
-    assert _eval_poly(poly, (F(3), F(2), F(0), F(1, 2))) == 2 * 9 * F(1, 2) - 6
-    assert _eval_poly((), (F(1), F(1), F(1), F(1))) == 0
+    assert eval_poly(poly, (F(3), F(2), F(0), F(1, 2))) == 2 * 9 * F(1, 2) - 6
+    assert eval_poly((), (F(1), F(1), F(1), F(1))) == 0
 
 
 @given(st.lists(st.tuples(st.integers(-5, 5), st.tuples(*[st.integers(0, 3)] * 4))))
@@ -216,21 +243,78 @@ def test_eval_poly_additive(monos):
          for c, (e0, e1, e2, e3) in poly),
         F(0),
     )
-    assert _eval_poly(poly, vals) == total
+    assert eval_poly(poly, vals) == total
 
 
 def test_formula_connective_semantics():
     yes = atom(">=", (0, (0, 0, 0, 0)))
     no = atom(">", (0, (0, 0, 0, 0)))
-    vals = (F(0), F(0), F(1), F(1))
-    assert eval_formula(yes, vals) and not eval_formula(no, vals)
-    assert eval_formula(fand(), vals)
-    assert not eval_formula(for_(), vals)
-    assert eval_formula(fand(yes, yes), vals)
-    assert not eval_formula(fand(yes, no), vals)
-    assert eval_formula(for_(no, yes), vals)
-    assert eval_formula(fnot(no), vals)
-    assert not eval_formula(fnot(yes), vals)
+    q = Quadruple((F(0),), 0, F(0), 0)  # (a, b, u, v) = (0, 0, 1, 1)
+
+    def holds(formula) -> bool:
+        truth = semialgebraic_system(formula, 1).decide(q)
+        assert truth == reference_decide(formula, q)
+        return truth
+
+    assert holds(yes) and not holds(no)
+    assert holds(fand())
+    assert not holds(for_())
+    assert holds(fand(yes, yes))
+    assert not holds(fand(yes, no))
+    assert holds(for_(no, yes))
+    assert holds(fnot(no))
+    assert not holds(fnot(yes))
+
+
+def formulas_of(atoms):
+    """Formulas of up to six leaves drawn from `atoms`."""
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            st.lists(sub, max_size=3).map(lambda fs: fand(*fs)),
+            st.lists(sub, max_size=3).map(lambda fs: for_(*fs)),
+            sub.map(fnot),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def formula_and_quadruple(draw):
+    """A random formula over dimension 1 or 2 with b-degree up to 3, and a
+    quadruple mixing small values (exact zeros of the atoms happen) with
+    denominators up to 2^40."""
+    dim = draw(st.integers(1, 2))
+    deg = draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * dim, st.integers(0, deg),
+                     st.integers(0, 2), st.integers(0, 2))
+    atoms = st.builds(lambda op, monos: atom(op, *monos), st.sampled_from([">", ">="]),
+                      st.lists(st.tuples(st.integers(-4, 4), exps), max_size=4))
+    formula = draw(formulas_of(atoms))
+    rat = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=1 << 40))
+    a = tuple(draw(rat) for _ in range(dim))
+    b = draw(st.one_of(rat, st.sampled_from(a)))
+    return formula, dim, Quadruple(a, draw(st.integers(0, 40)), b, draw(st.integers(0, 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_and_quadruple())
+def test_decide_matches_reference_evaluator(case):
+    formula, dim, q = case
+    assert semialgebraic_system(formula, dim).decide(q) == reference_decide(formula, q)
+
+
+def test_square_accept_set_matches_reference():
+    formula, dim = squaring_formula()
+    decide = squaring_system().decide
+    accepted = 0
+    for k in range(5000):
+        q = decode_quadruple(k, dim)
+        truth = decide(q)
+        assert truth == reference_decide(formula, q), q
+        accepted += truth
+    assert accepted > 0
 
 
 def test_empty_poly_atoms_at_system_level():
@@ -307,8 +391,9 @@ def test_formula_from_json_rational_coefficients_and_equality():
     formula, _ = formula_from_json(doc)
     assert formula == fand(atom(">=", (1, (0, 1, 0, 0)), (-2, (1, 0, 0, 0))),
                            atom(">=", (-1, (0, 1, 0, 0)), (2, (1, 0, 0, 0))))
-    assert eval_formula(formula, (F(1), F(2), F(1), F(1)))
-    assert not eval_formula(formula, (F(1), F(3), F(1), F(1)))
+    equal = semialgebraic_system(formula, 1).decide
+    assert equal(Quadruple((F(1),), 0, F(2), 0))  # (a, b, u, v) = (1, 2, 1, 1)
+    assert not equal(Quadruple((F(1),), 0, F(3), 0))
 
 
 @pytest.mark.parametrize("doc", BAD_DOCS)
@@ -442,15 +527,7 @@ LINEAR_ATOMS = st.builds(
                                                      st.integers(0, 1), st.integers(0, 1))),
              max_size=4),
 )
-LINEAR_FORMULAS = st.recursive(
-    LINEAR_ATOMS,
-    lambda sub: st.one_of(
-        st.lists(sub, max_size=3).map(lambda fs: fand(*fs)),
-        st.lists(sub, max_size=3).map(lambda fs: for_(*fs)),
-        sub.map(fnot),
-    ),
-    max_leaves=6,
-)
+LINEAR_FORMULAS = formulas_of(LINEAR_ATOMS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -468,8 +545,8 @@ def test_linear_witness_sound_and_complete(formula, a, m, n):
     u, v = F(1, m + 1), F(1, n + 1)
     roots = set()
     for node in _atoms(formula):
-        c0 = _eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 0), (a, F(0), u, v))
-        c1 = _eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 1), (a, F(1), u, v))
+        c0 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 0), (a, F(0), u, v))
+        c1 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 1), (a, F(1), u, v))
         if c1:
             roots.add(-c0 / c1)
     roots = sorted(roots) or [F(0)]

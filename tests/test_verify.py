@@ -5,12 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from approxsys.core import ApproxSystem, DecidableSystem, Quadruple
-from approxsys.errors import DomainError
+from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
     _corners,
+    atom,
     cosine_system,
     division_system,
     maximal_division_system,
+    semialgebraic_system,
     sigma_k,
     squaring_system,
 )
@@ -284,6 +286,67 @@ def test_containment_against_enumerable_sup():
     assert tight.outcome is Outcome.INCONCLUSIVE
     roomy = verify_containment(sub, _EnumerableDivision(), count=1, budget=4096)
     assert roomy.outcome is Outcome.PASS
+
+
+# --- dimension checks ---------------------------------------------------------------
+
+def _counting_system(dim):
+    calls = []
+
+    def decide(q):
+        calls.append(q)
+        return True
+
+    return DecidableSystem(decide, dim, name=f"counting-{dim}"), calls
+
+
+@pytest.mark.parametrize("system,oracle", [
+    (division_system, squaring_oracle),  # unchecked, this audits x1 alone and passes
+    (squaring_system, division_oracle),  # unchecked, the oracle reads a missing x2
+])
+def test_condition1_rejects_oracle_of_other_dimension(system, oracle):
+    with pytest.raises(DimensionError):
+        verify_condition1(system(), oracle(), quad_samples=20)
+
+
+def test_condition1_dimension_checked_before_any_scan():
+    counting, calls = _counting_system(2)
+    with pytest.raises(DimensionError):
+        verify_condition1(counting, squaring_oracle(), quad_samples=20)
+    assert calls == []
+
+
+def test_condition2_rejects_mismatched_dimensions():
+    with pytest.raises(DimensionError):
+        verify_condition2(division_system(), squaring_oracle(), (F(1), F(3)), 4)
+    with pytest.raises(DimensionError):
+        verify_condition2(division_system(), division_oracle(), (F(1),), 4)
+
+
+def test_brute_force_rejects_point_of_other_dimension():
+    with pytest.raises(DimensionError):
+        brute_force_condition1_check((F(1),), 9, F(1, 3), 2, division_oracle())
+
+
+def _all_of_dimension_one():
+    return semialgebraic_system(atom(">="), 1, name="all")
+
+
+@pytest.mark.parametrize("sub,sup", [
+    (division_system, squaring_system),  # unchecked, a bogus counterexample
+    (division_system, _all_of_dimension_one),  # unchecked, passes
+    (cosine_system, division_system),  # unchecked, division unpacks a 1-point
+])
+def test_containment_rejects_systems_of_other_dimension(sub, sup):
+    with pytest.raises(DimensionError):
+        verify_containment(sub(), sup(), count=20)
+
+
+def test_containment_dimension_checked_before_any_scan():
+    counting, calls = _counting_system(1)
+    with pytest.raises(DimensionError):
+        verify_containment(counting, division_system(), count=20)
+    assert calls == []
 
 
 # --- verdict plumbing -------------------------------------------------------------------
