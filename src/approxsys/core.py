@@ -108,11 +108,10 @@ class ApproxSystem:
         self._scanned = 0
         self._prefix_lock = threading.Lock()
 
-    def _check_dim(self, quad: Quadruple):
-        if len(quad.a) != self.dim_in:
+    def _check_dim(self, a: Point):
+        if len(a) != self.dim_in:
             raise DimensionError(
-                f"{self.name}: quadruple over dimension {len(quad.a)}, "
-                f"system expects {self.dim_in}"
+                f"{self.name}: point of dimension {len(a)}, system expects {self.dim_in}"
             )
 
     def enumerate(self, k: int) -> Optional[Quadruple]:
@@ -129,7 +128,7 @@ class ApproxSystem:
         YES is final.  NOT_YET only means the budget was too small; rerunning
         with a larger budget may upgrade it.
         """
-        self._check_dim(quad)
+        self._check_dim(quad.a)
         if self.decide is not None:
             return Membership.YES if self.decide(quad) else Membership.NOT_YET
         for k in range(budget + 1):
@@ -173,7 +172,8 @@ class DecidableSystem(ApproxSystem):
     """System given by a total membership predicate.
 
     enumerate(k) decodes k to a quadruple and keeps it iff decide accepts;
-    dovetailing over all of N therefore lists exactly the members.
+    dovetailing over all of N therefore lists exactly the members.  decide
+    and witness raise DimensionError on a point of another dimension.
     """
 
     def __init__(
@@ -189,7 +189,13 @@ class DecidableSystem(ApproxSystem):
             raise DimensionError("system dimension must be positive")
         self.dim_in = dim
         self.name = name
-        self.decide = decide
+
+        def checked(q: Quadruple) -> bool:
+            if len(q.a) != dim:
+                self._check_dim(q.a)
+            return decide(q)
+
+        self.decide = checked
         self._witness = witness
         self.provides_witness = witness is not None
 
@@ -198,6 +204,7 @@ class DecidableSystem(ApproxSystem):
         return q if self.decide(q) else None
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
+        self._check_dim(a)
         if self._witness is None:
             return None
         return self._witness(a, m, n)

@@ -355,7 +355,7 @@ class _OperatorSystem(ApproxSystem):
         return result
 
     def membership(self, quad: Quadruple, budget: int) -> Membership:
-        self._check_dim(quad)
+        self._check_dim(quad.a)
         a, m, b, n = quad.a, quad.m, quad.b, quad.n
         top = (m - 1) // 2  # largest fragment end l with 2l+1 <= m
         if top < 0:

@@ -69,15 +69,24 @@ def _maximal_division_decide(q: Quadruple) -> bool:
     # 1/(m+1) around a sits inside the closed interval of radius 1/(n+1)
     # around b.  The range of (a1 + s)/(a2 + t) over |s|,|t| <= 1/(m+1) is
     # spanned by the four corner values once the denominator is bounded away
-    # from zero, i.e. (m+1)|a2| > 1.
+    # from zero, i.e. (m+1)|a2| > 1.  With M = m+1, N = n+1, a1 = p1/q1,
+    # a2 = p2/q2 and b = pb/qb, the corner (M a1 + e1)/(M a2 + e2) is x/y
+    # for x = (M p1 + e1 q1) q2 and y = (M p2 + e2 q2) q1 != 0, and
+    # |x/y - b| <= 1/N is tested multiplied by N qb |y| > 0, on integers:
+    # N |x qb - pb y| <= qb |y|.
     a1, a2 = q.a
-    if (q.m + 1) * abs(a2) <= 1:
+    p1, q1 = a1.numerator, a1.denominator
+    p2, q2 = a2.numerator, a2.denominator
+    pb, qb = q.b.numerator, q.b.denominator
+    M, N = q.m + 1, q.n + 1
+    if M * abs(p2) <= q2:
         return False
-    v = Fraction(1, q.n + 1)
-    lo, hi = q.b - v, q.b + v
-    for c in _corners(q.a, q.m):
-        if c < lo or c > hi:
-            return False
+    for e1 in (1, -1):
+        x = (M * p1 + e1 * q1) * q2
+        for e2 in (1, -1):
+            y = (M * p2 + e2 * q2) * q1
+            if N * abs(x * qb - pb * y) > qb * abs(y):
+                return False
     return True
 
 

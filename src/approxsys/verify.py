@@ -87,20 +87,23 @@ def cos_taylor(x: Rat, err: Rat) -> Rat:
     Sums (-1)^i x^(2i)/(2i)! until the next term is at most err *and* the
     tail alternates with decreasing terms (x^2 <= (2i+1)(2i+2)), at which
     point the alternating series bound caps the remainder by that next term.
+    Runs on integers: with x^2 = s/t and D = t^i (2i)!, the sum of the terms
+    up to i is total/D and the next term is s^(i+1)/(D c) for
+    c = t (2i+1)(2i+2).
     """
     if err <= 0:
         raise DomainError("cos_taylor needs a positive error bound")
-    total = Fraction(0)
-    term = Fraction(1)
-    sign = 1
+    s, t = x.numerator ** 2, x.denominator ** 2
+    en, ed = err.numerator, err.denominator
+    total = scale = power = 1
     i = 0
     while True:
-        total += sign * term
-        nxt = term * x * x / ((2 * i + 1) * (2 * i + 2))
-        if x * x <= (2 * i + 1) * (2 * i + 2) and nxt <= err:
-            return total
-        term = nxt
-        sign = -sign
+        c = t * (2 * i + 1) * (2 * i + 2)
+        power *= s
+        if s <= c and power * ed <= scale * c * en:
+            return Fraction(total, scale)
+        scale *= c
+        total = total * c + (power if i % 2 else -power)
         i += 1
 
 
@@ -148,13 +151,16 @@ def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
     offsets alternate between uniform and boundary-hugging magnitudes, which
     is where soundness violations concentrate.
     """
-    r = Fraction(1, m + 1)
-    edge = r - r * r
+    M = m + 1
     dim = len(center)
 
+    # A corner coordinate c +- (M - 1)/M^2 and a random one c +- (j/2^24)/M,
+    # for c = cn/cd, are each built as one Fraction over cd M^2 or cd 2^24 M.
     specials: List[Point] = [center]
     for signs in product((1, -1), repeat=dim):
-        specials.append(tuple(c + s * edge for c, s in zip(center, signs)))
+        specials.append(tuple(Fraction(c.numerator * M * M + s * (M - 1) * c.denominator,
+                                       c.denominator * M * M)
+                              for c, s in zip(center, signs)))
         if len(specials) > 8:
             break
 
@@ -165,17 +171,20 @@ def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
         if domain_test is None or domain_test(p):
             out.append(p)
 
+    scale = _RAND_DENOM * M
     attempts = 0
     while len(out) < count and attempts < 64 * count + 64:
         attempts += 1
         coords = []
         for c in center:
             if attempts % 2:
-                mag = Fraction(rng.randrange(_RAND_DENOM), _RAND_DENOM)
+                j = rng.randrange(_RAND_DENOM)
             else:
-                mag = 1 - Fraction(rng.randrange(1, 1 << 12), _RAND_DENOM)
-            sign = 1 if rng.randrange(2) else -1
-            coords.append(c + sign * mag * r)
+                j = _RAND_DENOM - rng.randrange(1, 1 << 12)
+            if not rng.randrange(2):
+                j = -j
+            coords.append(Fraction(c.numerator * scale + j * c.denominator,
+                                   c.denominator * scale))
         p = tuple(coords)
         if domain_test is None or domain_test(p):
             out.append(p)
@@ -201,13 +210,18 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     samples = 0
     straddles = 0
     for quad in quads:
-        bound = Fraction(1, quad.n + 1)
-        eps = Fraction(0) if oracle.exact else Fraction(1, 10 * (quad.n + 1) ** 2)
+        # |b - approx| >= 1/N +- eps for b = pb/qb, approx = pa/qa and
+        # eps = en/ed, multiplied through by N ed qb qa > 0
+        N = quad.n + 1
+        en, ed = (0, 1) if oracle.exact else (1, 10 * N * N)
+        eps = Fraction(en, ed)
+        pb, qb = quad.b.numerator, quad.b.denominator
         for xi in _sample_ball(quad.a, quad.m, xi_samples, rng, oracle.domain_test):
             samples += 1
             approx = oracle.eval(xi, eps)
-            d = abs(quad.b - approx)
-            if d >= bound + eps:
+            pa, qa = approx.numerator, approx.denominator
+            gap = abs(pb * qa - pa * qb) * N * ed
+            if gap >= qb * qa * (ed + N * en):
                 return Verdict(
                     Outcome.COUNTER_EXAMPLE,
                     samples=samples,
@@ -216,12 +230,12 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
                         "quad": _quad_dict(quad),
                         "xi": [str(c) for c in xi],
                         "oracle_value": str(approx),
-                        "distance": str(d),
-                        "bound": str(bound),
+                        "distance": str(abs(quad.b - approx)),
+                        "bound": str(Fraction(1, N)),
                     },
                     diagnostics="sampled point violates the quadruple's promise",
                 )
-            if eps > 0 and d >= bound - eps:
+            if en and gap >= qb * qa * (ed - N * en):
                 straddles += 1
     if straddles:
         return Verdict(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from approxsys.core import Membership, Quadruple, decode_quadruple
-from approxsys.errors import FormatError
+from approxsys.errors import DimensionError, FormatError
 from approxsys.evaluate import apply
 from approxsys.names import name_of_point
 from approxsys.systems import (
@@ -87,6 +87,35 @@ def test_corner_values_frozen():
     assert _corners((F(1), F(3)), 0) == [F(1, 2), F(1), F(0), F(0)]
 
 
+def maximal_division_reference(q: Quadruple) -> bool:
+    """The closed-interval corner test, in Fraction arithmetic."""
+    a1, a2 = q.a
+    if (q.m + 1) * abs(a2) <= 1:
+        return False
+    v = F(1, q.n + 1)
+    return all(q.b - v <= c <= q.b + v for c in _corners(q.a, q.m))
+
+
+@st.composite
+def maximal_division_quads(draw):
+    """Random quadruples, and ones on the edges of the test: a2 of either
+    sign with (m+1)|a2| = 1, and b exactly 1/(n+1) away from a corner."""
+    m, n = draw(precisions), draw(precisions)
+    a1 = draw(rats)
+    a2 = draw(st.one_of(rats, st.sampled_from((1, -1)).map(lambda s: F(s, m + 1))))
+    b = draw(rats)
+    if (m + 1) * abs(a2) > 1 and draw(st.booleans()):
+        corner = draw(st.sampled_from(_corners((a1, a2), m)))
+        b = corner + draw(st.sampled_from((1, -1))) * F(1, n + 1)
+    return Quadruple((a1, a2), m, b, n)
+
+
+@settings(max_examples=300)
+@given(maximal_division_quads())
+def test_maximal_division_decide_matches_reference(q):
+    assert maximal_division_system().decide(q) == maximal_division_reference(q)
+
+
 def test_maximal_division_frozen_memberships():
     decide = maximal_division_system().decide
     for n in range(4):
@@ -127,16 +156,15 @@ def test_division_members_are_maximal_members():
 
 def cosine_member_oracle(a, m, b, n, K=60):
     """Existential scan of the defining condition, written from scratch."""
+    full = F(0)  # sum_{i<k} (-1)^i a^(2i)/(2i)!
     for k in range(K):
-        if a * a > (2 * k + 1) * (2 * k + 2):
-            continue
-        e = F(a) ** (2 * k) / (2 * math.factorial(2 * k))
-        s = sum(
-            (-1) ** i * F(a) ** (2 * i) / math.factorial(2 * i) for i in range(k)
-        )
-        s += (-1) ** k * e
-        if abs(b - s) + e + F(1, m + 1) <= F(1, n + 1):
-            return True
+        term = F(a) ** (2 * k) / math.factorial(2 * k)
+        e = term / 2
+        if a * a <= (2 * k + 1) * (2 * k + 2):
+            s = full + (-1) ** k * e
+            if abs(b - s) + e + F(1, m + 1) <= F(1, n + 1):
+                return True
+        full += (-1) ** k * term
     return False
 
 
@@ -555,3 +583,17 @@ def test_linear_witness_sound_and_complete(formula, a, m, n):
     for b in probes:
         assert not system.decide(Quadruple((a,), m, b, n))
 
+
+# --- dimension checks -----------------------------------------------------------
+
+@pytest.mark.parametrize("ctor", [
+    division_system, maximal_division_system, cosine_system, squaring_system,
+], ids=lambda ctor: ctor.__name__)
+def test_decide_and_witness_reject_points_of_other_dimension(ctor):
+    system = ctor()
+    for dim in (system.dim_in - 1, system.dim_in + 1):
+        a = (F(1),) * dim
+        with pytest.raises(DimensionError):
+            system.decide(Quadruple(a, 0, F(1), 0))
+        with pytest.raises(DimensionError):
+            system.witness(a, 0, 0)

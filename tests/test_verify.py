@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from approxsys.core import ApproxSystem, DecidableSystem, Quadruple
 from approxsys.errors import DimensionError, DomainError
@@ -31,6 +32,32 @@ from approxsys.verify import (
 )
 
 # --- reference oracle ---------------------------------------------------------
+
+def cos_taylor_reference(x, err):
+    """cos_taylor's sum and stopping rule, in Fraction arithmetic."""
+    total = F(0)
+    term = F(1)
+    sign = 1
+    i = 0
+    while True:
+        total += sign * term
+        nxt = term * x * x / ((2 * i + 1) * (2 * i + 2))
+        if x * x <= (2 * i + 1) * (2 * i + 2) and nxt <= err:
+            return total
+        term = nxt
+        sign = -sign
+        i += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**12),
+    st.builds(F, st.integers(min_value=1, max_value=10**6),
+              st.integers(min_value=0, max_value=60).map(lambda e: 10**e)),
+)
+def test_cos_taylor_matches_reference(x, err):
+    assert cos_taylor(x, err) == cos_taylor_reference(x, err)
+
 
 def test_cos_taylor_frozen():
     assert cos_taylor(F(0), F(1, 10**6)) == 1
@@ -95,6 +122,21 @@ def test_sample_ball_respects_domain():
         assert p[1] > 0
 
 
+def test_sample_ball_frozen():
+    one = _sample_ball((F(1, 3),), 4, 7, random.Random(5), None)
+    assert [str(c) for (c,) in one] == [
+        "1/3", "37/75", "13/75", "6850001/15728640", "16782103/125829120",
+        "37014971/251658240", "33562409/251658240",
+    ]
+    # the center itself lies outside the domain
+    two = _sample_ball((F(1), F(0)), 3, 8, random.Random(7), division_oracle().domain_test)
+    assert [tuple(map(str, p)) for p in two] == [
+        ("19/16", "3/16"), ("19/16", "-3/16"), ("13/16", "3/16"), ("13/16", "-3/16"),
+        ("7030355/8388608", "-6624039/33554432"), ("50331945/67108864", "-8387859/33554432"),
+        ("59904789/67108864", "1441955/33554432"), ("50333361/67108864", "-8388115/33554432"),
+    ]
+
+
 def test_sample_ball_deterministic():
     a = _sample_ball((F(1),), 4, 9, random.Random(11), None)
     b = _sample_ball((F(1),), 4, 9, random.Random(11), None)
@@ -151,6 +193,22 @@ def test_condition1_refutes_radius_mutant():
     assert v.outcome is Outcome.COUNTER_EXAMPLE
     assert set(v.witness) == {"quad", "xi", "oracle_value", "distance", "bound"}
     assert F(v.witness["distance"]) >= F(v.witness["bound"])
+    assert v.to_json() == (
+        '{"diagnostics": "sampled point violates the quadruple\'s promise", '
+        '"outcome": "counter_example", "samples": 8, "seed": 0, "witness": '
+        '{"bound": "1", "distance": "3198388/1889499", "oracle_value": "3198388/1889499", '
+        '"quad": {"a": ["0", "1"], "b": "0", "m": 0, "n": 0}, '
+        '"xi": ["3997985/4194304", "9447495/16777216"]}}'
+    )
+
+
+def test_condition1_refutes_distance_equal_to_bound():
+    # (0, 0, 1, 0) promises |x^2 - 1| < 1 near 0, and x = 0 is at distance 1
+    target = Quadruple((F(0),), 0, F(1), 0)
+    edge = DecidableSystem(lambda q: q == target, 1, name="square-edge")
+    v = verify_condition1(edge, squaring_oracle(), quad_samples=1)
+    assert v.outcome is Outcome.COUNTER_EXAMPLE
+    assert v.witness["xi"] == ["0"] and v.witness["distance"] == v.witness["bound"] == "1"
 
 
 def _mutant_cosine_accept_without_halfterm(q: Quadruple) -> bool:
@@ -177,6 +235,12 @@ def test_condition1_refutes_cosine_mutant():
                           name="cosine-lax")
     v = verify_condition1(mut, cosine_oracle(), quad_samples=1000)
     assert v.outcome is Outcome.COUNTER_EXAMPLE
+    assert v.to_json() == (
+        '{"diagnostics": "sampled point violates the quadruple\'s promise", '
+        '"outcome": "counter_example", "samples": 662, "seed": 0, "witness": '
+        '{"bound": "1/2", "distance": "210889/327680", "oracle_value": "-210889/327680", '
+        '"quad": {"a": ["2"], "b": "0", "m": 1, "n": 1}, "xi": ["9/4"]}}'
+    )
 
 
 def _mutant_open_interval_maximal(q: Quadruple) -> bool:
