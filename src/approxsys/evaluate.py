@@ -9,20 +9,17 @@ from any such operator by brute certification.
 Every value `apply` returns is membership-certified: a quadruple
 (f(l), l, b, n) was confirmed in the system with the very index l at which
 the name was read, so soundness of the system transfers to the result with
-no further trust in the search heuristics.  The search order itself is
-layered for practicality:
+no further trust in the search order, which has two phases:
 
   phase A  witness ladder: ask the system for a candidate b at input
-           precisions l = (n+1)*2^t - 1 and certify it (hit for the
-           built-ins: exact-quotient and Taylor-midpoint hints, and for
-           square, like every formula linear in b, virtual substitution);
-  phase B  precision cascade: certify *some* value at coarse precision by a
-           bounded sweep of small codes, then walk precision levels
-           n_0 < n_1 < ... < n (each roughly doubling), refining a dyadic
-           candidate grid around the previous level's certified value;
-  phase C  a plain dovetailed sweep of (l, j, s) codes at full precision,
+           precisions l = (n+1)*2^t - 1, t <= 12, and certify it (the
+           exact quotient for division, a Taylor midpoint for cosine, a
+           cell of the b-line for every formula system, the operator's own
+           value for an extracted system);
+  phase B  a plain dovetailed sweep of (l, j, s) codes at full precision,
            which guarantees completeness: if any certifiable answer exists,
-           enough budget eventually finds it.
+           enough budget eventually finds it.  A system without a witness
+           gets only this phase.
 
 Each membership probe costs one budget step, uniformly across phases, which
 makes results deterministic and monotone in the budget.
@@ -33,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple, decode_quadruple
-from .errors import DimensionError, SearchTimeout
+from .errors import DimensionError, DomainError, SearchTimeout
 from .names import OrdinaryName
 from .numerics import (
     Point,
@@ -50,11 +48,6 @@ from .numerics import (
 
 # Phase A input-precision ladder: l = (n+1)*2^t - 1 for t = 0..12.
 _LADDER_RUNGS = 13
-# Phase B bootstrap sweep length at the coarsest level.
-_BOOT_SWEEP = 4096
-# Phase B refinement: candidates base + j*delta for |j| <= 16, six rungs.
-_GRID_HALF_WIDTH = 16
-_LEVEL_RUNGS = 6
 
 
 @dataclass(frozen=True)
@@ -81,30 +74,18 @@ def _probe(system: ApproxSystem, quad: Quadruple, s: int, probes: _Probes) -> bo
     return system.membership(quad, s) is Membership.YES
 
 
-def _level_chain(n: int) -> List[int]:
-    chain = [n]
-    while chain[-1] > 0:
-        chain.append((chain[-1] - 1) // 2)
-    chain.reverse()
-    return chain
-
-
-def _center_out(half_width: int):
-    yield 0
-    for j in range(1, half_width + 1):
-        yield j
-        yield -j
-
-
 def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
           _probes: Optional[_Probes] = None) -> EvalResult:
     """One certified output approximation at precision index n.
 
-    Raises SearchTimeout when `budget` membership probes are spent without a
+    Raises DomainError on a negative n or budget, before reading the name,
+    and SearchTimeout when `budget` membership probes are spent without a
     certificate; the spent budget is the only failure information available
     (invalid name, point outside the domain, and too-small budget are
     indistinguishable by design).
     """
+    if n < 0 or budget < 0:
+        raise DomainError(f"precision index {n} and budget {budget} must be natural numbers")
     if f.dim != system.dim_in:
         raise DimensionError(
             f"{system.name}: name of dimension {f.dim}, system expects {system.dim_in}"
@@ -122,50 +103,12 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
             if _probe(system, Quadruple(a, l, b, n), l, probes):
                 return EvalResult(b, n, probes.used)
 
-    # phase B: bootstrap at the coarsest level, then cascade upward
-    anchor: Optional[Rat] = None
-    for level in _level_chain(n):
-        found: Optional[Rat] = None
-        if anchor is None:
-            # level 0: sweep small (l, j, s) codes for any certifiable value
-            for g in range(_BOOT_SWEEP):
-                l, j, s = decode_tuple(g, 3)
-                quad = Quadruple(f.approx(l), l, decode_rat(j), level)
-                if _probe(system, quad, s, probes):
-                    found = quad.b
-                    break
-        else:
-            # refine the previous level's value on a dyadic grid: spacing
-            # <= 1/(4(level+1)) and half-span 16*delta >= 1/(prev+1), so the
-            # grid covers the true value whenever the anchor's certificate
-            # holds, and some candidate lands within delta of it.
-            h = (4 * (level + 1) - 1).bit_length()
-            scale = 1 << h
-            base = Fraction(math.floor(anchor * scale + Fraction(1, 2)), scale)
-            for t in range(_LEVEL_RUNGS):
-                l = (level + 1) * (1 << t) - 1
-                a = f.approx(l)
-                for off in _center_out(_GRID_HALF_WIDTH):
-                    cand = base + Fraction(off, scale)
-                    if _probe(system, Quadruple(a, l, cand, level), l, probes):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            break  # cascade failed; fall through to the exhaustive phase
-        anchor = found
-        if level == n:
-            return EvalResult(found, n, probes.used)
-
-    # phase C: exhaustive dovetailing at the requested precision
-    g = 0
-    while True:
+    # phase B: exhaustive dovetailing at the requested precision
+    for g in count():
         l, j, s = decode_tuple(g, 3)
         quad = Quadruple(f.approx(l), l, decode_rat(j), n)
         if _probe(system, quad, s, probes):
             return EvalResult(quad.b, n, probes.used)
-        g += 1
 
 
 def make_budget_schedule(base: int) -> Callable[[int], int]:
@@ -322,27 +265,24 @@ class _OperatorSystem(ApproxSystem):
         self._T = operator
         self.dim_in = dim
         self.name = "operator-system"
+        self.provides_witness = True
         self._scan_cache: Dict[Tuple[Point, int], Tuple[List[Point], int]] = {}
-        self._cand_cache: Dict[Tuple[Point, int, int], Optional[Point]] = {}
+        self._cand_cache: Dict[Tuple[Point, int, int], Point] = {}
 
-    def _candidate(self, a: Point, k: int, c: int) -> Optional[Point]:
-        """Admissible candidate for slot k near a, or None; memoized."""
+    def _candidate(self, a: Point, k: int, c: int) -> Point:
+        """Admissible candidate for slot k near a; memoized."""
         key = (a, k, c)
         try:
             return self._cand_cache[key]
         except KeyError:
             pass
-        radius = Fraction(1, 2 * k + 2)
         if c < _DYADIC_CANDIDATES:
-            h = (2 * k + 2).bit_length() + c
-            scale = 1 << h
-            p = tuple(
-                Fraction(math.floor(x * scale + Fraction(1, 2)), scale) for x in a
-            )
-            result = p if dist(p, a) < radius else None
+            # rounding to the grid 2^-h, 2^h > 2k+2, moves a by less than 1/(2k+2)
+            scale = 1 << ((2 * k + 2).bit_length() + c)
+            result = tuple(Fraction(math.floor(x * scale + Fraction(1, 2)), scale) for x in a)
         else:
             # coded fallback: the (c - 17)-th enumerated point inside the ball
-            want = c - _DYADIC_CANDIDATES
+            want, radius = c - _DYADIC_CANDIDATES, Fraction(1, 2 * k + 2)
             points, next_code = self._scan_cache.get((a, k), ([], 0))
             while len(points) <= want:
                 p = decode_point(next_code, self.dim_in)
@@ -354,6 +294,13 @@ class _OperatorSystem(ApproxSystem):
         self._cand_cache[key] = result
         return result
 
+    def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
+        """T's value on the default ramp: candidate 0 at each slot k <= (m-1)/2."""
+        self._check_dim(a)
+        ramp = tuple(self._candidate(a, k, 0) for k in range((m + 1) // 2))
+        res = self._T.run(ramp, 2 * n + 1, m) if ramp else None
+        return res.v if isinstance(res, Value) else None
+
     def membership(self, quad: Quadruple, budget: int) -> Membership:
         self._check_dim(quad.a)
         a, m, b, n = quad.a, quad.m, quad.b, quad.n
@@ -363,26 +310,16 @@ class _OperatorSystem(ApproxSystem):
         out_idx = 2 * n + 1
         tol = Fraction(1, 2 * n + 2)
         ramp: List[Point] = []  # shared prefix of the all-defaults attempts
-        ramp_dead = False
         for u in range(budget):
             if u <= top:
-                if ramp_dead:
-                    continue
-                p = self._candidate(a, u, 0)
-                if p is None:
-                    ramp_dead = True  # longer default ramps share the slot
-                    continue
-                ramp.append(p)
+                ramp.append(self._candidate(a, u, 0))
                 fragment = tuple(ramp)
             else:
                 l, shift_code = cantor_split(u - top - 1)
                 if l > top:
                     continue
                 shifts = decode_tuple(shift_code, l + 1)
-                slots = [self._candidate(a, k, c) for k, c in enumerate(shifts)]
-                if any(p is None for p in slots):
-                    continue
-                fragment = tuple(slots)
+                fragment = tuple(self._candidate(a, k, c) for k, c in enumerate(shifts))
             res = self._T.run(fragment, out_idx, budget)
             if isinstance(res, Value) and abs(res.v - b) < tol:
                 return Membership.YES

@@ -12,7 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, List, Optional, Tuple, Union
 
 from .core import DecidableSystem, Quadruple
@@ -182,17 +182,12 @@ def _cosine_decide(q: Quadruple) -> bool:
 def _cosine_witness(a_pt: Point, m: int, n: int) -> Optional[Rat]:
     (a,) = a_pt
     g = Fraction(1, n + 1) - Fraction(1, m + 1)
-    if g < 0:
-        return None
-    if g == 0:
-        # only the degenerate a = 0 quadruples admit equality
-        return Fraction(1) if a == 0 else None
+    if g <= 0:  # only the degenerate a = 0 quadruples admit equality
+        return Fraction(1) if g == 0 and a == 0 else None
     k = _cos_k0(a * a)
-    for _ in range(400):
-        if _half_term(a, k) <= g:
-            return sigma_k(a, k)
+    while _half_term(a, k) > g:  # ends, since e_k -> 0 and g > 0
         k += 1
-    return None
+    return sigma_k(a, k)
 
 
 @lru_cache(maxsize=None)
@@ -428,93 +423,119 @@ def load_formula(path) -> Tuple[Formula, int]:
     return formula_from_json(doc)
 
 
-def _simplest_dyadic(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
-    """The dyadic j/2^k in the open interval (lo, hi) with the least k.
+# --- the witness: a cylindrical decomposition of the b-line -------------------
 
-    None stands for an infinite end.  At k = 0 the interval may hold several
-    integers and the one of least magnitude is returned; for k >= 1 the
-    dyadic is unique, since two neighbours on the 2^-k grid include one on
-    the 2^-(k-1) grid.  Requires lo < hi.
-    """
-    first = None if lo is None else math.floor(lo) + 1
-    last = None if hi is None else math.ceil(hi) - 1
-    if first is None or last is None or first <= last:
-        j = 0
-        if first is not None:
-            j = max(j, first)
-        if last is not None:
-            j = min(j, last)
-        return Fraction(j)
-    # Both ends are finite now.  "Some multiple of 2^-k lies in (lo, hi)" is
-    # monotone in k and holds once 2^-k < hi - lo, so bisect on k.
-    w = hi - lo
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-
-    def above_lo(k: int) -> int:  # the least multiple of 2^-k above lo, times 2^k
-        return (ln << k) // ld + 1
-
-    k_lo, k_hi = 1, (w.denominator // w.numerator).bit_length()
-    while k_lo < k_hi:
-        k = (k_lo + k_hi) // 2
-        if above_lo(k) * hd < hn << k:
-            k_hi = k
-        else:
-            k_lo = k + 1
-    return Fraction(above_lo(k_lo), 1 << k_lo)
+def _sign_at(p, x: Rat) -> int:
+    """sign(p(x)) for p = [c_0, c_1, ..], by Horner's rule on den(x)^deg * p(x)."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * x.numerator + c * scale
+        scale *= x.denominator
+    return (acc > 0) - (acc < 0)
 
 
-def _linear_witness(formula: Formula, atoms: List[Atom], coefficients):
-    """Witness for a formula whose atoms all have degree <= 1 in b.
+def _mul(f, g):
+    h = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            h[i + j] += x * y
+    return h
 
-    The returned function finds, for given (a, m, n), a b satisfying the
-    formula by virtual substitution (Weispfenning, "The complexity of linear
-    problems in fields", J. Symb. Comp. 1988): coefficients gives each atom,
-    up to a positive factor, as c1*b + c0; the roots -c0/c1 cut the b-line
-    into open cells on which every atom, hence the formula, has constant
-    truth.  The first satisfied open cell yields its simplest dyadic, which
-    keeps result bits O(log n); failing that, the first satisfying root;
-    failing that, None.  Exact arithmetic makes a returned b satisfy it.
-    """
 
-    def witness(a: Point, m: int, n: int) -> Optional[Rat]:
-        lines = coefficients(a, m, n)  # per atom: [c0, c1]
-        atom_roots = [Fraction(-c0, c1) if c1 else None for c0, c1 in lines]
-        order = sorted((i for i, r in enumerate(atom_roots) if r is not None),
-                       key=atom_roots.__getitem__)
-        roots: List[Rat] = []
-        places = [-1] * len(atoms)
-        for i in order:
-            if not roots or atom_roots[i] != roots[-1]:
-                roots.append(atom_roots[i])
-            places[i] = 2 * len(roots) - 1
-        # Position p on the b-line: p = 2i is the open cell below roots[i]
-        # (above roots[-1] for i = len(roots)), p = 2i + 1 is roots[i].  An
-        # atom with root roots[i] has place 2i + 1 and the sign
-        # sign(c1) * sign(p - place); an atom free of b has place -1, below
-        # every p, and the sign of c0.
-        signed = {
-            id(at): ((c1 > 0) - (c1 < 0) if c1 else (c0 > 0) - (c0 < 0), place)
-            for at, (c0, c1), place in zip(atoms, lines, places)
-        }
+def _rem(f, g):
+    """A positive integer multiple of the remainder of f by g, g[-1] != 0."""
+    r = [Fraction(c) for c in f]
+    while len(r) >= len(g):
+        c = r.pop() / g[-1]
+        for i, x in enumerate(g[:-1], len(r) - len(g) + 1):
+            r[i] -= c * x
+    while r and not r[-1]:
+        r.pop()
+    den = math.lcm(*(c.denominator for c in r))
+    return [int(c * den) for c in r]
 
-        def holds(p: int) -> bool:
-            def atom_holds(at: Atom) -> bool:
-                s, place = signed[id(at)]
-                return _sign_holds(at.op, s * ((p > place) - (p < place)))
 
-            return _holds(formula, atom_holds)
+class _Root:
+    """A real root: exactly lo when lo is hi, else the only root in (lo, hi)
+    of a polynomial whose sign, sign(x), changes there; lo, hi are no roots."""
 
-        for i in range(len(roots) + 1):
-            if holds(2 * i):
-                lo = roots[i - 1] if i > 0 else None
-                hi = roots[i] if i < len(roots) else None
-                return _simplest_dyadic(lo, hi)
-        for i, r in enumerate(roots):
-            if holds(2 * i + 1):
-                return r
-        return None
+    __slots__ = ("sign", "lo", "hi", "left")
 
-    return witness
+    def __init__(self, sign, lo: Rat, hi: Rat):
+        self.sign, self.lo, self.hi = sign, lo, hi
+        self.left = sign(lo) if sign else 0  # the sign below the root
+
+    def grid(self, k: int) -> Tuple[int, int]:
+        """The greatest j with j/2^k below the root and the least one above."""
+        scale = 1 << k
+        while self.lo is not self.hi:
+            j = math.floor(self.lo * scale) + 1  # the least grid point above lo
+            if j >= self.hi * scale:
+                return j - 1, j
+            x = Fraction(max(j, math.floor((self.lo + self.hi) * scale / 2)), scale)
+            s = self.sign(x)
+            if s == 0:
+                self.lo = self.hi = x
+            elif s == self.left:
+                self.lo = x
+            else:
+                self.hi = x
+        j, rest = divmod(self.lo.numerator << k, self.lo.denominator)
+        return j - (rest == 0), j + 1
+
+    def rational(self, c: int) -> Optional[Rat]:
+        """The root if rational.  Rationals of denominator <= c, a bound for
+        the root's, lie 1/c^2 apart, so one nearest the middle of a narrower
+        (lo, hi) is the only candidate."""
+        self.grid(2 * c.bit_length())
+        if self.lo is self.hi:
+            return self.lo
+        x = ((self.lo + self.hi) / 2).limit_denominator(c)
+        return x if self.lo < x < self.hi and not self.sign(x) else None
+
+
+def _isolated_roots(p: List[int]) -> List[_Root]:
+    """The distinct real roots of the integer polynomial p, in increasing order:
+    bisect (-B, B), B above Cauchy's bound, by Sturm's theorem (the sign
+    changes along p, p' and the negated remainders down to g = gcd(p, p')
+    drop, from lo to hi off the roots, by the roots between); p/g changes
+    sign at each."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain.pop()
+
+    def changes(x: Rat) -> int:
+        signs = [s for s in (_sign_at(q, x) for q in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    bound = Fraction(1 << (max(map(abs, p)) // abs(p[-1]) + 2).bit_length())
+    roots, todo = [], [(-bound, bound)]
+    while todo:
+        lo, hi = todo.pop()
+        count = changes(lo) - changes(hi)
+        if count == 1:
+            roots.append(_Root(lambda x: _sign_at(p, x) * _sign_at(chain[-1], x), lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            while not _sign_at(p, mid):
+                mid = (lo + mid) / 2
+            todo += [(mid, hi), (lo, mid)]
+    return roots
+
+
+def _simplest_dyadic(lo: Optional[_Root], hi: Optional[_Root]) -> Rat:
+    """The dyadic j/2^k with the least k strictly between the roots lo < hi
+    (None: an infinite end); at k = 0 the integer of least magnitude.  For
+    k >= 1 it is unique: two neighbours on the 2^-k grid include one on the
+    2^-(k-1) grid."""
+    k = 0
+    while True:
+        first = -math.inf if lo is None else lo.grid(k)[1]
+        last = math.inf if hi is None else hi.grid(k)[0]
+        if first <= last:
+            return Fraction(min(max(0, first), last) if k == 0 else first, 1 << k)
+        k += 1
 
 
 def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebraic") -> DecidableSystem:
@@ -524,9 +545,14 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     u = 1/(m+1) and v = 1/(n+1), in integers: b = pb/qb enters each atom as
     sum_e c_e * pb^e * qb^(deg - e) (see _compile), a positive multiple of
     its value.  Soundness is the formula author's burden; the verifier
-    module exists to audit it.  When every atom has degree <= 1 in b the
-    system also provides a witness (see _linear_witness); like every witness
-    it is only a hint, and apply certifies it through decide.
+    module exists to audit it.
+
+    The witness is a one-variable cylindrical decomposition (Collins 1975):
+    for given (a, m, n) the atoms' real roots in b, exact at degree 1 and
+    isolated by Sturm sequences above, cut the b-line into open cells of
+    constant truth.  It returns the simplest dyadic of the first satisfied
+    cell in b order (O(log n) bits), else the first satisfying rational
+    root, else None; apply still certifies it through decide.
     """
     _validate_formula(formula, dim)
     atoms, deg, coefficients = _compile(formula, dim)
@@ -539,7 +565,43 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
         return _holds(formula, lambda at: _sign_holds(
             at.op, sum(map(operator.mul, rows[row_of[id(at)]], bpows))))
 
-    witness = _linear_witness(formula, atoms, coefficients) if deg == 1 else None
+    def witness(a: Point, m: int, n: int) -> Optional[Rat]:
+        rows = coefficients(a, m, n)
+        curved = deg > 1 and any(any(c[2:]) for c in rows)
+        if curved:  # Sturm on the product of the rows in b; truth at a point
+            factors = [c[:max(e for e, v in enumerate(c) if v) + 1] for c in rows if any(c[1:])]
+            roots = _isolated_roots(reduce(_mul, factors))
+            lc = max(abs(c[-1]) for c in factors)  # each rational root's denominator divides one
+
+            def atom_holds(at: Atom) -> bool:
+                return _sign_holds(at.op, _sign_at(rows[row_of[id(at)]], x))
+        else:
+            # Position p = 2i is the open cell below roots[i] (above all for
+            # i = len(roots)), 2i + 1 is roots[i].  A row with root roots[i]
+            # has the sign sign(c1) * sign(p - (2i + 1)), one free of b that of c0.
+            zeros = [Fraction(-c[0], c[1]) if c[1] else None for c in rows]
+            roots, places = [], [-1] * len(rows)
+            for i in sorted((i for i, z in enumerate(zeros) if z is not None), key=zeros.__getitem__):
+                if not roots or zeros[i] != roots[-1].lo:
+                    roots.append(_Root(None, zeros[i], zeros[i]))
+                places[i] = 2 * len(roots) - 1
+            signed = {id(at): ((c[1] > 0) - (c[1] < 0) or (c[0] > 0) - (c[0] < 0), place)
+                      for at, c, place in zip(atoms, rows, places)}
+
+            def atom_holds(at: Atom) -> bool:
+                s, place = signed[id(at)]
+                return _sign_holds(at.op, s * ((p > place) - (p < place)))
+
+        for i, (lo, hi) in enumerate(zip([None, *roots], [*roots, None])):
+            p, x = 2 * i, _simplest_dyadic(lo, hi) if curved else None
+            if _holds(formula, atom_holds):
+                return x if curved else _simplest_dyadic(lo, hi)
+        for i, r in enumerate(roots):
+            p, x = 2 * i + 1, r.rational(lc) if curved else r.lo
+            if x is not None and _holds(formula, atom_holds):
+                return x
+        return None
+
     return DecidableSystem(decide, dim, witness=witness, name=name)
 
 

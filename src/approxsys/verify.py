@@ -277,10 +277,9 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
         for a in _sample_ball(xi, m, a_samples, rng, None):
             samples += 1
             candidates: List[Rat] = []
-            if system.provides_witness:
-                w = system.witness(a, m, n)
-                if w is not None:
-                    candidates.append(w)
+            w = system.witness(a, m, n)
+            if w is not None:
+                candidates.append(w)
             if oracle.domain_test(a):
                 candidates.append(oracle.eval(a, quarter))
             if oracle.domain_test(xi):

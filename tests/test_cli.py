@@ -1,10 +1,12 @@
 import json
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from approxsys import cli
-from approxsys.systems import atom, formula_to_json, squaring_formula
+from approxsys.systems import atom, fand, formula_to_json, squaring_formula
 
 
 @pytest.fixture(autouse=True)
@@ -314,6 +316,23 @@ def test_formula_file_eval(capsys, tmp_path, square_doc):
     assert abs(value - F(9, 4)) < F(1, 10)
 
 
+def test_formula_file_with_b_squared_certifies_in_one_probe(capsys, tmp_path):
+    # |b^2 - a| < v - 2u, over (a, b, u, v); before the cylindrical witness
+    # this exhausted any budget (exit 2) at every n from 3 up
+    A, B2, U, V = (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    formula = fand(atom(">", (1, V), (-2, U), (-1, B2), (1, A)),
+                   atom(">", (1, V), (-2, U), (1, B2), (-1, A)))
+    path = tmp_path / "root.json"
+    path.write_text(json.dumps(formula_to_json(formula, 1)))
+    code, out, err = run(capsys, "eval", "--system", str(path), "--point", "2",
+                         "--prec-index", "10000", "--budget", "13")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    value = F(lines[0].removeprefix("value = "))
+    assert abs(value * value - 2) < F(1, 10001)
+    assert lines[-1] == "search_steps = 1"
+
+
 def test_formula_file_verify_passes(capsys, tmp_path, square_doc):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(square_doc))
@@ -367,3 +386,33 @@ def test_argparse_exits(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eval", "--output", "yaml"]) == 1
     capsys.readouterr()
+
+
+# --- README transcript ------------------------------------------------------------
+
+
+def _readme_transcript():
+    """(argv, stdout) for every `$ approxsys ...` line of the README's text block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    cases = []
+    for line in block.splitlines():
+        if line.startswith("$ approxsys "):
+            cases.append((shlex.split(line)[2:], []))
+        elif line:
+            cases[-1][1].append(line)
+    return [(argv, "".join(out + "\n" for out in lines)) for argv, lines in cases]
+
+
+README_TRANSCRIPT = _readme_transcript()
+
+
+@pytest.mark.parametrize("argv, expected", README_TRANSCRIPT,
+                         ids=[" ".join(argv) for argv, _ in README_TRANSCRIPT])
+def test_readme_transcript(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_readme_transcript_has_every_subcommand():
+    assert {argv[0] for argv, _ in README_TRANSCRIPT} == {"eval", "enumerate", "verify"}

@@ -4,15 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from approxsys.core import ApproxSystem, Membership, Quadruple, encode_quadruple
-from approxsys.errors import DimensionError, SearchTimeout
+from approxsys.errors import DimensionError, DomainError, SearchTimeout
 from approxsys.evaluate import (
     EvalResult,
     NameOperator,
     OracleMiss,
     OutOfBudget,
     Value,
-    _center_out,
-    _level_chain,
     apply,
     default_budget_schedule,
     eval_name,
@@ -20,7 +18,7 @@ from approxsys.evaluate import (
     operator_from_system,
     system_from_operator,
 )
-from approxsys.names import check_name_consistency, dyadic_name, name_of_point
+from approxsys.names import OrdinaryName, check_name_consistency, dyadic_name, name_of_point
 from approxsys.numerics import cantor_join
 from approxsys.systems import (
     cosine_system,
@@ -31,16 +29,6 @@ from approxsys.systems import (
 from approxsys.verify import cos_taylor
 
 # --- search plumbing ---------------------------------------------------------
-
-def test_level_chain():
-    assert _level_chain(0) == [0]
-    assert _level_chain(9) == [0, 1, 4, 9]
-    assert _level_chain(1000) == [0, 2, 6, 14, 30, 61, 124, 249, 499, 1000]
-
-
-def test_center_out():
-    assert list(_center_out(3)) == [0, 1, -1, 2, -2, 3, -3]
-
 
 def test_budget_schedules():
     assert default_budget_schedule(0) == 10_000
@@ -68,6 +56,29 @@ def test_cosine_witness_path_frozen():
 def test_apply_checks_dimension():
     with pytest.raises(DimensionError):
         apply(division_system(), name_of_point((F(1),)), 0, 100)
+
+
+class _NoReads(ApproxSystem):
+    """A one-dimensional system whose name must never be read."""
+
+    dim_in = 1
+    name = "no-reads"
+
+
+def _unreadable_name():
+    def fun(i):
+        raise AssertionError(f"name read at index {i}")
+
+    return OrdinaryName(fun, dim=1)
+
+
+@pytest.mark.parametrize("n, budget", [(-1, 10), (0, -1), (-3, -3)])
+def test_apply_rejects_negative_index_or_budget_before_reading(n, budget):
+    # before: IndexError from the name (n < 0), or a search of -1 steps
+    with pytest.raises(DomainError):
+        apply(_NoReads(), _unreadable_name(), n, budget)
+    with pytest.raises(DomainError):
+        apply(division_system(), name_of_point((F(1), F(2))), n, budget)
 
 
 def test_apply_budget_zero():
@@ -118,8 +129,8 @@ class _EnumerableDivision(ApproxSystem):
         return division_system().enumerate(k)
 
 
-def test_bootstrap_sweep_on_enumerable_system():
-    # no witness, no decide: the coarse sweep must certify (0/1 -> 0) on its
+def test_dovetail_on_enumerable_system():
+    # no witness, no decide: the dovetail must certify (0/1 -> 0) on its
     # own, scanning (l, j, s) codes; the hit sits at code 43, so 44 probes
     sys = _EnumerableDivision()
     res = apply(sys, name_of_point((F(0), F(1))), 0, 10**4)
@@ -246,7 +257,27 @@ def test_dead_operator_yields_empty_system():
 
 
 def test_extracted_division_evaluates():
+    # the operator's value on the default ramp is certified by the first probe
     ext = system_from_operator(operator_from_system(division_system()), 2)
+    assert ext.provides_witness
     res = apply(ext, name_of_point((F(1), F(2))), 9, 10**5)
-    assert res == EvalResult(F(1, 2), 9, 799)
-    assert abs(res.value - F(1, 2)) < F(1, 10)
+    assert res == EvalResult(F(1, 2), 9, 1)
+    for n in range(10):
+        assert apply(ext, name_of_point((F(1), F(2))), n, 10**5).search_steps == 1
+
+
+def test_operator_witness_is_the_ramp_value():
+    ext = system_from_operator(operator_from_system(division_system()), 2)
+    a = (F(1), F(3))
+    assert ext.witness(a, 0, 0) is None  # m = 0 admits no fragment
+    assert ext.witness(a, 1, 0) is None  # the run needs the name at index 1
+    w = ext.witness(a, 7, 0)
+    assert w == F(1, 3)
+    assert ext.membership(Quadruple(a, 7, w, 0), 7) is Membership.YES
+    with pytest.raises(DimensionError):
+        ext.witness((F(1),), 7, 0)
+
+
+def test_dead_operator_has_no_witness():
+    dead = system_from_operator(_DeadOperator(), 1)
+    assert dead.witness((F(0),), 9, 0) is None

@@ -540,11 +540,111 @@ def test_equality_atom_witness_is_its_root():
     assert not system.decide(Quadruple((F(1, 3),), 3, w + F(1, 1000), 5))
 
 
-def test_b_squared_formula_has_no_witness():
-    formula = atom(">=", (1, (0, 0, 0, 1)), (-1, (0, 2, 0, 0)))
+# --- witness for formulas of any degree in b ----------------------------------
+
+B1, B2 = (0, 1, 0, 0), (0, 2, 0, 0)
+
+
+def test_b_squared_formula_has_a_witness():
+    # v - b^2 >= 0 at v = 1: the cell (-1, 1) and its simplest dyadic 0
+    system = semialgebraic_system(atom(">=", (1, (0, 0, 0, 1)), (-1, B2)), 1)
+    assert system.provides_witness
+    assert system.witness((F(0),), 0, 0) == 0
+    # -b^2 >= 0 holds only at the double root 0
+    assert semialgebraic_system(atom(">=", (-1, B2)), 1).witness((F(0),), 0, 0) == 0
+
+
+@pytest.mark.parametrize("k, root", [(4, F(-1, 2)), (9, F(-1, 3)), (2, None)])
+def test_curved_witness_finds_rational_roots_only(k, root):
+    # k b^2 = 1: only the roots hold; the first rational one is the witness
+    formula, _ = formula_from_json({"vars": 1, "formula": {"op": "=", "poly": [
+        [k, [0, 2, 0, 0]], [-1, [0, 0, 0, 0]]]}})
+    assert semialgebraic_system(formula, 1).witness((F(0),), 0, 0) == root
+
+
+def test_curved_witness_is_the_simplest_dyadic_of_its_cell():
+    # 2 - b^2 > 0 and b - 1 > 0: the cell (1, sqrt 2), whose simplest dyadic is 5/4
+    formula = fand(atom(">", (2, (0, 0, 0, 0)), (-1, B2)), atom(">", (1, B1), (-1, (0, 0, 0, 0))))
+    assert semialgebraic_system(formula, 1).witness((F(0),), 0, 0) == F(5, 4)
+    # b^2 - 2 > 0 cuts at -sqrt 2 and sqrt 2; the first cell in b order wins
+    assert semialgebraic_system(atom(">", (1, B2), (-2, (0, 0, 0, 0))), 1).witness(
+        (F(0),), 0, 0) == -2
+
+
+def test_curved_witness_for_a_shared_irrational_root():
+    # (b^2 - 2)(b - 3) >= 0 and (b^2 - 2)(b + 3) >= 0 share the roots +-sqrt 2,
+    # so the product of the atoms has double roots; only b >= 3 holds
+    p = ((1, (0, 3, 0, 0)), (-3, B2), (-2, B1), (6, (0, 0, 0, 0)))
+    q = ((1, (0, 3, 0, 0)), (3, B2), (-2, B1), (-6, (0, 0, 0, 0)))
+    system = semialgebraic_system(fand(atom(">=", *p), atom(">=", *q)), 1)
+    assert system.witness((F(0),), 0, 0) == 4
+    # at b = 3 exactly p = 0 >= 0: the root is the witness once the cell is gone
+    strict = semialgebraic_system(fand(atom(">=", *p), atom(">=", *q),
+                                       atom(">=", (3, (0, 0, 0, 0)), (-1, B1))), 1)
+    assert strict.witness((F(0),), 0, 0) == 3
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("lo, hi, w", [(F(-5, 2), F(3), 0), (F(-7, 2), F(-1, 2), -1),
+                                       (F(1, 3), F(9, 2), 1), (F(1, 3), F(2, 3), F(1, 2))])
+def test_witness_picks_the_integer_of_least_magnitude(curved, lo, hi, w):
+    # lo < b < hi, as (den(lo) b - num(lo)) (num(hi) - den(hi) b) > 0 when
+    # curved, else as two lines
+    p1, q1, p2, q2 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    one = (0, 0, 0, 0)
+    if curved:
+        formula = atom(">", (-q1 * q2, B2), (q1 * p2 + q2 * p1, B1), (-p1 * p2, one))
+    else:
+        formula = fand(atom(">", (q1, B1), (-p1, one)), atom(">", (p2, one), (-q2, B1)))
+    assert semialgebraic_system(formula, 1).witness((F(0),), 0, 0) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_and_quadruple())
+def test_curved_witness_satisfies_reference(case):
+    # formulas of b-degree up to 3; the drawn b is not used
+    formula, dim, q = case
+    w = semialgebraic_system(formula, dim).witness(q.a, q.m, q.n)
+    if w is not None:
+        assert reference_decide(formula, Quadruple(q.a, q.m, w, q.n))
+
+
+def _poly_in_b(scale, roots):
+    """scale * prod (den(r) b - num(r)) as monomials over (a, b, u, v)."""
+    coefs = [scale]
+    for r in roots:
+        lin = [-r.numerator, r.denominator]
+        coefs = [sum(coefs[i] * lin[e - i] for i in range(len(coefs)) if 0 <= e - i < 2)
+                 for e in range(len(coefs) + 1)]
+    return tuple((c, (0, e, 0, 0)) for e, c in enumerate(coefs) if c)
+
+
+ROOTS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+FACTORED_ATOMS = st.builds(
+    lambda op, scale, roots: atom(op, *_poly_in_b(scale, sorted(roots))),
+    st.sampled_from([">", ">="]), st.sampled_from([-3, -1, 1, 2]),
+    st.sets(ROOTS, max_size=3),
+)
+
+
+# every rational in [-3, 3] with denominator <= 5: all roots FACTORED_ATOMS can have
+ROOT_GRID = sorted({F(p, q) for q in range(1, 6) for p in range(-3 * q, 3 * q + 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas_of(FACTORED_ATOMS))
+def test_curved_witness_complete_on_rational_factors(formula):
+    # the roots of every atom lie on ROOT_GRID, so truth is constant between
+    # grid neighbours: a formula with no witness fails at every grid point,
+    # between every two neighbours and beyond either end
     system = semialgebraic_system(formula, 1)
-    assert not system.provides_witness
-    assert system.witness((F(0),), 0, 0) is None
+    w = system.witness((F(0),), 0, 0)
+    if w is not None:
+        assert reference_decide(formula, Quadruple((F(0),), 0, w, 0))
+        return
+    probes = ROOT_GRID + [(r + s) / 2 for r, s in zip(ROOT_GRID, ROOT_GRID[1:])] + [F(-4), F(4)]
+    for b in probes:
+        assert not reference_decide(formula, Quadruple((F(0),), 0, b, 0)), b
 
 
 # atoms over (a, b, u, v) whose monomials have b-exponent 0 or 1
@@ -582,6 +682,17 @@ def test_linear_witness_sound_and_complete(formula, a, m, n):
     probes += [roots[0] - 1, roots[-1] + 1]
     for b in probes:
         assert not system.decide(Quadruple((a,), m, b, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(LINEAR_FORMULAS, st.fractions(min_value=-4, max_value=4, max_denominator=9),
+       st.integers(0, 6), st.integers(0, 6))
+def test_curved_path_agrees_with_linear_path(formula, a, m, n):
+    # b^2 + 1 > 0 changes no truth but sends the witness through Sturm
+    # isolation, which must find the same cells, samples and roots
+    curved = fand(formula, atom(">", (1, B2), (1, (0, 0, 0, 0))))
+    assert (semialgebraic_system(curved, 1).witness((a,), m, n)
+            == semialgebraic_system(formula, 1).witness((a,), m, n))
 
 
 # --- dimension checks -----------------------------------------------------------
