@@ -65,7 +65,7 @@ _ORACLE_FOR_SYSTEM = {
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
-_EXIT_TIMEOUT = 2
+_EXIT_OUT_OF_BUDGET = 2
 _EXIT_COUNTER_EXAMPLE = 3
 _EXIT_INCONCLUSIVE = 4
 
@@ -337,7 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_verify(args)
     except SearchTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
-        return _EXIT_TIMEOUT
+        return _EXIT_OUT_OF_BUDGET
     except (_UsageError, FormatError, DimensionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -27,24 +27,15 @@ makes results deterministic and monotone in the budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .core import ApproxSystem, Membership, Quadruple, decode_quadruple
 from .errors import DimensionError, DomainError, SearchTimeout
 from .names import OrdinaryName
-from .numerics import (
-    Point,
-    Rat,
-    cantor_split,
-    decode_point,
-    decode_rat,
-    decode_tuple,
-    dist,
-)
+from .numerics import Point, Rat, cantor_split, decode_rat, decode_tuple
 
 # Phase A input-precision ladder: l = (n+1)*2^t - 1 for t = 0..12.
 _LADDER_RUNGS = 13
@@ -157,9 +148,6 @@ class OracleMiss:
     index: int
 
 
-RunOutcome = object  # Value | OutOfBudget | OracleMiss
-
-
 class NameOperator:
     """Abstract budgeted computation on finite name fragments.
 
@@ -190,48 +178,38 @@ class _FragmentName(OrdinaryName):
         super().__init__(fun, dim)
 
 
-_VALUE, _MISS, _TIMEOUT = "value", "miss", "timeout"
-
-
 class _SystemOperator(NameOperator):
     """Wrap apply(system, -, output_index, steps) as a name operator.
 
-    The memo records, per (fragment, output index), the outcome of the
-    deepest run so far together with the probe count at which its event
-    fired; replays reproduce exactly what a fresh run with the requested
-    budget would return, because the probe sequence is deterministic and
-    budget-monotone.
+    The memo keeps one record (event, probes_used) per (fragment, output
+    index): the Value or OracleMiss the deepest run so far fired and the
+    probe count at which it fired, or None and the budget after a timeout.
+    Only a timeout is rerun, and only with more budget; otherwise the record
+    answers, giving exactly what a fresh run with the requested budget would
+    return, because the probe sequence is deterministic and budget-monotone.
     """
 
     def __init__(self, system: ApproxSystem):
         self._system = system
-        self._memo: Dict[Tuple[Tuple[Point, ...], int], Tuple[str, object, int]] = {}
+        self._memo: Dict[Tuple[Tuple[Point, ...], int],
+                         Tuple[Optional[Union[Value, OracleMiss]], int]] = {}
 
     def run(self, fragment: Tuple[Point, ...], output_index: int, steps: int):
         fragment = tuple(tuple(c) for c in fragment)
         key = (fragment, output_index)
-        rec = self._memo.get(key)
-        if rec is not None:
-            kind, payload, fired_at = rec
-            if kind == _VALUE:
-                return Value(payload) if steps >= fired_at else OutOfBudget()
-            if kind == _MISS:
-                return OracleMiss(payload) if steps >= fired_at else OutOfBudget()
-            if steps <= fired_at:  # _TIMEOUT with no more budget than before
-                return OutOfBudget()
-
-        probes = _Probes(steps)
-        name = _FragmentName(fragment, self._system.dim_in)
-        try:
-            res = apply(self._system, name, output_index, steps, _probes=probes)
-        except _FragmentMiss as miss:
-            self._memo[key] = (_MISS, miss.index, probes.used)
-            return OracleMiss(miss.index)
-        except SearchTimeout:
-            self._memo[key] = (_TIMEOUT, None, steps)
-            return OutOfBudget()
-        self._memo[key] = (_VALUE, res.value, res.search_steps)
-        return Value(res.value)
+        event, used = self._memo.get(key, (None, None))
+        if used is None or (event is None and steps > used):
+            probes = _Probes(steps)
+            name = _FragmentName(fragment, self._system.dim_in)
+            try:
+                event = Value(apply(self._system, name, output_index, steps, _probes=probes).value)
+            except _FragmentMiss as miss:
+                event = OracleMiss(miss.index)
+            except SearchTimeout:
+                event = None
+            used = probes.used
+            self._memo[key] = (event, used)
+        return event if event is not None and steps >= used else OutOfBudget()
 
 
 def operator_from_system(system: ApproxSystem) -> NameOperator:
@@ -241,8 +219,8 @@ def operator_from_system(system: ApproxSystem) -> NameOperator:
 # --- systems from operators -----------------------------------------------------
 
 # Candidate points per fragment slot: indices 0..16 are dyadic roundings of a
-# at geometrically finer grids; larger indices walk the coded point
-# enumeration restricted to the slot's admissibility ball.
+# at geometrically finer grids; each larger index is computed directly as an
+# offset of a by a rational vector inside the slot's admissibility ball.
 _DYADIC_CANDIDATES = 17
 
 
@@ -266,33 +244,26 @@ class _OperatorSystem(ApproxSystem):
         self.dim_in = dim
         self.name = "operator-system"
         self.provides_witness = True
-        self._scan_cache: Dict[Tuple[Point, int], Tuple[List[Point], int]] = {}
-        self._cand_cache: Dict[Tuple[Point, int, int], Point] = {}
 
     def _candidate(self, a: Point, k: int, c: int) -> Point:
-        """Admissible candidate for slot k near a; memoized."""
-        key = (a, k, c)
-        try:
-            return self._cand_cache[key]
-        except KeyError:
-            pass
+        """Candidate c for slot k: a point strictly inside the 1/(2k+2) ball at a.
+
+        c < 17 rounds a to the grid 2^-h, h = bit_length(2k+2) + c.  Larger c
+        decodes (nums, d) from c - 17, sets q = d + 1 and returns
+        a + t/(2k+2) with t_i = (nums_i mod (2q-1) - (q-1))/q, so |t_i| < 1.
+        Every rational point of the open ball is some candidate, each at O(1)
+        cost.
+        """
         if c < _DYADIC_CANDIDATES:
-            # rounding to the grid 2^-h, 2^h > 2k+2, moves a by less than 1/(2k+2)
+            # rounding to the grid 2^-h, 2^h > 2k+2, moves a by less than 1/(2k+2);
+            # floor(x 2^h + 1/2) for x = p/d is (2 p 2^h + d) // 2d
             scale = 1 << ((2 * k + 2).bit_length() + c)
-            result = tuple(Fraction(math.floor(x * scale + Fraction(1, 2)), scale) for x in a)
-        else:
-            # coded fallback: the (c - 17)-th enumerated point inside the ball
-            want, radius = c - _DYADIC_CANDIDATES, Fraction(1, 2 * k + 2)
-            points, next_code = self._scan_cache.get((a, k), ([], 0))
-            while len(points) <= want:
-                p = decode_point(next_code, self.dim_in)
-                next_code += 1
-                if dist(p, a) < radius:
-                    points.append(p)
-            self._scan_cache[(a, k)] = (points, next_code)
-            result = points[want]
-        self._cand_cache[key] = result
-        return result
+            return tuple(Fraction((2 * x.numerator * scale + x.denominator) // (2 * x.denominator),
+                                  scale) for x in a)
+        *nums, d = decode_tuple(c - _DYADIC_CANDIDATES, self.dim_in + 1)
+        q = d + 1
+        return tuple(x + Fraction(num % (2 * q - 1) - (q - 1), q * (2 * k + 2))
+                     for x, num in zip(a, nums))
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         """T's value on the default ramp: candidate 0 at each slot k <= (m-1)/2."""

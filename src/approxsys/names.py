@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DimensionError
-from .numerics import Point, Rat, as_point, dist
+from .numerics import Point, as_point, dist
 
 
 class _MemoSeq:
@@ -43,9 +43,6 @@ class _MemoSeq:
                     )
                 self._cache[i] = value
         return value
-
-    def __call__(self, i: int) -> Point:
-        return self.approx(i)
 
 
 class OrdinaryName(_MemoSeq):

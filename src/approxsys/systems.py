@@ -236,18 +236,6 @@ def atom(op: str, *monomials) -> Atom:
     return Atom(op, tuple((c, tuple(e)) for c, e in monomials))
 
 
-def fand(*args: Formula) -> FAnd:
-    return FAnd(tuple(args))
-
-
-def for_(*args: Formula) -> FOr:
-    return FOr(tuple(args))
-
-
-def fnot(arg: Formula) -> FNot:
-    return FNot(arg)
-
-
 def _holds(formula: Formula, atom_holds: Callable[[Atom], bool]) -> bool:
     """Truth of a formula, given the truth of each of its atoms."""
     if isinstance(formula, Atom):
@@ -631,20 +619,20 @@ def squaring_formula() -> Tuple[Formula, int]:
 
     upper_plus = atom(">=", (1, B), (1, V), (-1, AA), (-2, AU), (-1, UU))
     upper_minus = atom(">=", (1, B), (1, V), (-1, AA), (2, AU), (-1, UU))
-    zero_inside = fand(
+    zero_inside = FAnd((
         atom(">", (1, U), (-1, A)),
         atom(">", (1, U), (1, A)),
         atom(">", (1, V), (-1, B)),
-    )
-    right_of_zero = fand(
+    ))
+    right_of_zero = FAnd((
         atom(">=", (1, A), (-1, U)),
         atom(">=", (1, AA), (-2, AU), (1, UU), (-1, B), (1, V)),
-    )
-    left_of_zero = fand(
+    ))
+    left_of_zero = FAnd((
         atom(">=", (-1, A), (-1, U)),
         atom(">=", (1, AA), (2, AU), (1, UU), (-1, B), (1, V)),
-    )
-    formula = fand(upper_plus, upper_minus, for_(zero_inside, right_of_zero, left_of_zero))
+    ))
+    formula = FAnd((upper_plus, upper_minus, FOr((zero_inside, right_of_zero, left_of_zero))))
     return formula, 1
 
 

@@ -261,9 +261,10 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
 
     For each m <= m_cap, samples points a with dist(a, xi) < 1/(m+1) (not
     restricted to the oracle domain: productivity quantifies over all nearby
-    rational points) and hunts a b with (a, m, b, n) in the system among: the
-    system's own witness hint, the oracle's value at a and at xi, and a
-    bounded enumeration scan.  Pass records the first m that served all
+    rational points) and hunts a b with (a, m, b, n) in the system among
+    three candidates: the system's own witness hint and the oracle's value
+    at a and at xi, each confirmed by membership within `budget`.  No
+    enumeration is scanned.  Pass records the first m that served all
     samples; exhaustion is Inconclusive, never a refutation.
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
@@ -271,7 +272,6 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     rng = random.Random(seed)
     quarter = Fraction(1, 4 * (n + 1))
     samples = 0
-    scan_members = system.members_prefix(min(budget, 256), scan_cap=budget)
     for m in range(m_cap + 1):
         all_served = True
         for a in _sample_ball(xi, m, a_samples, rng, None):
@@ -284,9 +284,6 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
                 candidates.append(oracle.eval(a, quarter))
             if oracle.domain_test(xi):
                 candidates.append(oracle.eval(xi, quarter))
-            for q in scan_members:
-                if q.a == a and q.m == m and q.n == n:
-                    candidates.append(q.b)
             served = False
             for b in dict.fromkeys(candidates):
                 if system.membership(Quadruple(a, m, b, n), budget) is Membership.YES:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from approxsys import cli
-from approxsys.systems import atom, fand, formula_to_json, squaring_formula
+from approxsys.systems import FAnd, atom, formula_to_json, squaring_formula
 
 
 @pytest.fixture(autouse=True)
@@ -196,6 +196,13 @@ def test_enumerate_count_zero_and_negative(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_system_flag_is_required(capsys, command):
+    code, out, err = run(capsys, command)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--system" in err
+
+
 def test_enumerate_negative_scan_cap(capsys):
     code, out, err = run(
         capsys, "enumerate", "--system", "division", "--scan-cap", "-4",
@@ -320,8 +327,8 @@ def test_formula_file_with_b_squared_certifies_in_one_probe(capsys, tmp_path):
     # |b^2 - a| < v - 2u, over (a, b, u, v); before the cylindrical witness
     # this exhausted any budget (exit 2) at every n from 3 up
     A, B2, U, V = (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-    formula = fand(atom(">", (1, V), (-2, U), (-1, B2), (1, A)),
-                   atom(">", (1, V), (-2, U), (1, B2), (-1, A)))
+    formula = FAnd((atom(">", (1, V), (-2, U), (-1, B2), (1, A)),
+                    atom(">", (1, V), (-2, U), (1, B2), (-1, A))))
     path = tmp_path / "root.json"
     path.write_text(json.dumps(formula_to_json(formula, 1)))
     code, out, err = run(capsys, "eval", "--system", str(path), "--point", "2",

@@ -80,6 +80,12 @@ def test_generic_membership_budget_boundary():
     assert sys.membership(q, 7) is Membership.YES
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_decidable_system_rejects_nonpositive_dimension(dim):
+    with pytest.raises(DimensionError):
+        DecidableSystem(lambda q: True, dim)
+
+
 def test_membership_dimension_check():
     with pytest.raises(DimensionError):
         division_system().membership(Quadruple((F(1),), 0, F(0), 0), 10)

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from approxsys.core import ApproxSystem, Membership, Quadruple, encode_quadruple
+from approxsys.core import ApproxSystem, DecidableSystem, Membership, Quadruple, encode_quadruple
 from approxsys.errors import DimensionError, DomainError, SearchTimeout
 from approxsys.evaluate import (
     EvalResult,
@@ -19,7 +20,7 @@ from approxsys.evaluate import (
     system_from_operator,
 )
 from approxsys.names import OrdinaryName, check_name_consistency, dyadic_name, name_of_point
-from approxsys.numerics import cantor_join
+from approxsys.numerics import cantor_join, dist, encode_tuple
 from approxsys.systems import (
     cosine_system,
     division_system,
@@ -281,3 +282,69 @@ def test_operator_witness_is_the_ramp_value():
 def test_dead_operator_has_no_witness():
     dead = system_from_operator(_DeadOperator(), 1)
     assert dead.witness((F(0),), 9, 0) is None
+
+
+def test_operator_system_rejects_nonpositive_dimension():
+    for dim in (0, -1):
+        with pytest.raises(DimensionError):
+            system_from_operator(_DeadOperator(), dim)
+
+
+def test_timed_out_run_replays_without_rerunning():
+    # a system with no witness and an empty accept set: each probe is one decide
+    calls = []
+
+    def reject(q):
+        calls.append(q)
+        return False
+
+    T = operator_from_system(DecidableSystem(reject, 1))
+    frag = _pt_fragment((F(0),), 20)
+    assert T.run(frag, 0, 5) == OutOfBudget()
+    assert len(calls) == 5
+    assert T.run(frag, 0, 5) == OutOfBudget()
+    assert T.run(frag, 0, 3) == OutOfBudget()
+    assert len(calls) == 5
+    # more budget than the timed-out run had: a fresh run from probe 0
+    assert T.run(frag, 0, 7) == OutOfBudget()
+    assert len(calls) == 12
+
+
+# --- candidates of extracted systems ------------------------------------------------
+
+def test_coded_candidates_lie_strictly_inside_the_ball():
+    ext = system_from_operator(_DeadOperator(), 2)
+    a, k = (F(-7, 3), F(5, 2)), 3
+    radius = F(1, 2 * k + 2)
+    for c in range(17, 17 + 10**4 + 1):
+        assert dist(ext._candidate(a, k, c), a) < radius
+
+
+def test_coded_candidate_reaches_a_given_offset():
+    # t = (1/3, -2/5) over q = 15 is (5, -6)/15; nums_i = 15 t_i + 14
+    ext = system_from_operator(_DeadOperator(), 2)
+    a, k = (F(-7, 3), F(5, 2)), 3
+    want = (a[0] + F(1, 3) / 8, a[1] - F(2, 5) / 8)
+    assert ext._candidate(a, k, 17 + encode_tuple((19, 8, 14))) == want
+
+
+def test_dyadic_candidates_round_half_up():
+    ext = system_from_operator(_DeadOperator(), 2)
+    for a in [(F(-7, 3), F(5, 2)), (F(1, 3), F(-1, 2)), (F(10**4), F(3, 8))]:
+        for k in (0, 1, 5):
+            for c in range(17):
+                scale = 1 << ((2 * k + 2).bit_length() + c)
+                want = tuple(F(math.floor(x * scale + F(1, 2)), scale) for x in a)
+                assert ext._candidate(a, k, c) == want
+    # on the grid 1/4 (k = 0, c = 0) grid points stay and half-way points round up
+    assert ext._candidate((F(5, 2), F(-1, 8)), 0, 0) == (F(5, 2), F(0))
+    assert ext._candidate((F(1, 3), F(-3, 8)), 0, 0) == (F(1, 4), F(-1, 4))
+
+
+def test_extracted_membership_far_from_the_origin_finishes():
+    # before, the first coded candidate (budget 172) decoded points from 0
+    # until enough of them landed within 1/2 of (10^4, 1), and did not return
+    ext = system_from_operator(operator_from_system(division_system()), 2)
+    quad = Quadruple((F(10**4), F(1)), 1, F(0), 0)
+    for budget in (171, 172, 5000):
+        assert ext.membership(quad, budget) is Membership.NOT_YET

@@ -1,0 +1,44 @@
+"""Every top-level import of a package module is used by that module.
+
+No linter ships with the test dependencies, so this reads each module's
+syntax tree: a name bound by a module-level import must occur as a name
+somewhere in the module.  `__init__.py` re-exports by importing, and
+`from __future__` imports switch on language features; both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import approxsys
+
+MODULES = sorted(p for p in Path(approxsys.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "from typing import List, Tuple\n"
+              "x: List[int] = []\n")
+    assert unused_imports(source) == [(2, "math"), (3, "Tuple")]

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -18,9 +19,6 @@ from approxsys.systems import (
     atom,
     cosine_system,
     division_system,
-    fand,
-    fnot,
-    for_,
     formula_from_json,
     formula_to_json,
     load_formula,
@@ -285,13 +283,13 @@ def test_formula_connective_semantics():
         return truth
 
     assert holds(yes) and not holds(no)
-    assert holds(fand())
-    assert not holds(for_())
-    assert holds(fand(yes, yes))
-    assert not holds(fand(yes, no))
-    assert holds(for_(no, yes))
-    assert holds(fnot(no))
-    assert not holds(fnot(yes))
+    assert holds(FAnd(()))
+    assert not holds(FOr(()))
+    assert holds(FAnd((yes, yes)))
+    assert not holds(FAnd((yes, no)))
+    assert holds(FOr((no, yes)))
+    assert holds(FNot(no))
+    assert not holds(FNot(yes))
 
 
 def formulas_of(atoms):
@@ -299,9 +297,9 @@ def formulas_of(atoms):
     return st.recursive(
         atoms,
         lambda sub: st.one_of(
-            st.lists(sub, max_size=3).map(lambda fs: fand(*fs)),
-            st.lists(sub, max_size=3).map(lambda fs: for_(*fs)),
-            sub.map(fnot),
+            st.lists(sub, max_size=3).map(lambda fs: FAnd(tuple(fs))),
+            st.lists(sub, max_size=3).map(lambda fs: FOr(tuple(fs))),
+            sub.map(FNot),
         ),
         max_leaves=6,
     )
@@ -361,10 +359,15 @@ def test_formula_json_round_trip():
     back, nback = formula_from_json(doc)
     assert back == formula and nback == nvars
     # and the document survives serialization
-    import json
-
     again, _ = formula_from_json(json.loads(json.dumps(doc)))
     assert again == formula
+
+
+def test_formula_json_round_trip_with_not():
+    formula = FOr((FNot(atom(">", (1, (1, 0, 0, 0)))), atom(">=", (-1, (0, 1, 0, 0)))))
+    doc = formula_to_json(formula, 1)
+    assert doc["formula"]["or"][0] == {"not": [{"op": ">", "poly": [[1, [1, 0, 0, 0]]]}]}
+    assert formula_from_json(json.loads(json.dumps(doc))) == (formula, 1)
 
 
 def test_formula_from_json_accepts_bare_not():
@@ -373,7 +376,7 @@ def test_formula_from_json_accepts_bare_not():
         "formula": {"not": {"op": ">", "poly": [[1, [1, 0, 0, 0]]]}},
     }
     formula, _ = formula_from_json(doc)
-    assert formula == fnot(atom(">", (1, (1, 0, 0, 0))))
+    assert formula == FNot(atom(">", (1, (1, 0, 0, 0))))
 
 
 BAD_DOCS = [
@@ -417,8 +420,8 @@ def test_formula_from_json_rational_coefficients_and_equality():
     # "=" reads as p >= 0 and -p >= 0
     doc = {"vars": 1, "formula": {"op": "=", "poly": [["1/2", [0, 1, 0, 0]], [-1, [1, 0, 0, 0]]]}}
     formula, _ = formula_from_json(doc)
-    assert formula == fand(atom(">=", (1, (0, 1, 0, 0)), (-2, (1, 0, 0, 0))),
-                           atom(">=", (-1, (0, 1, 0, 0)), (2, (1, 0, 0, 0))))
+    assert formula == FAnd((atom(">=", (1, (0, 1, 0, 0)), (-2, (1, 0, 0, 0))),
+                            atom(">=", (-1, (0, 1, 0, 0)), (2, (1, 0, 0, 0)))))
     equal = semialgebraic_system(formula, 1).decide
     assert equal(Quadruple((F(1),), 0, F(2), 0))  # (a, b, u, v) = (1, 2, 1, 1)
     assert not equal(Quadruple((F(1),), 0, F(3), 0))
@@ -431,8 +434,6 @@ def test_formula_from_json_rejects_malformed(doc):
 
 
 def test_load_formula_from_file(tmp_path):
-    import json
-
     formula, nvars = squaring_formula()
     path = tmp_path / "square.json"
     path.write_text(json.dumps(formula_to_json(formula, nvars)))
@@ -452,6 +453,12 @@ def test_semialgebraic_dimension_mismatch():
     formula, _ = squaring_formula()
     with pytest.raises(FormatError):
         semialgebraic_system(formula, 2)
+
+
+@pytest.mark.parametrize("coef", [F(1, 2), 1.0, True])
+def test_semialgebraic_rejects_non_integer_coefficient(coef):
+    with pytest.raises(FormatError):
+        semialgebraic_system(Atom(">", ((coef, (0, 1, 0, 0)),)), 1)
 
 
 # --- squaring -----------------------------------------------------------------
@@ -513,10 +520,10 @@ def test_squaring_witness_keeps_small_denominators():
 def test_witness_through_negation():
     # identity x |-> x: not (b - a + u - v > 0) and not (a - b + u - v > 0)
     A, B, U, V = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-    formula = fand(
-        fnot(atom(">", (1, B), (-1, A), (1, U), (-1, V))),
-        fnot(atom(">", (1, A), (-1, B), (1, U), (-1, V))),
-    )
+    formula = FAnd((
+        FNot(atom(">", (1, B), (-1, A), (1, U), (-1, V))),
+        FNot(atom(">", (1, A), (-1, B), (1, U), (-1, V))),
+    ))
     ident = semialgebraic_system(formula, 1, name="identity")
     assert ident.provides_witness
     x = F(5, 7)
@@ -564,7 +571,7 @@ def test_curved_witness_finds_rational_roots_only(k, root):
 
 def test_curved_witness_is_the_simplest_dyadic_of_its_cell():
     # 2 - b^2 > 0 and b - 1 > 0: the cell (1, sqrt 2), whose simplest dyadic is 5/4
-    formula = fand(atom(">", (2, (0, 0, 0, 0)), (-1, B2)), atom(">", (1, B1), (-1, (0, 0, 0, 0))))
+    formula = FAnd((atom(">", (2, (0, 0, 0, 0)), (-1, B2)), atom(">", (1, B1), (-1, (0, 0, 0, 0)))))
     assert semialgebraic_system(formula, 1).witness((F(0),), 0, 0) == F(5, 4)
     # b^2 - 2 > 0 cuts at -sqrt 2 and sqrt 2; the first cell in b order wins
     assert semialgebraic_system(atom(">", (1, B2), (-2, (0, 0, 0, 0))), 1).witness(
@@ -576,11 +583,11 @@ def test_curved_witness_for_a_shared_irrational_root():
     # so the product of the atoms has double roots; only b >= 3 holds
     p = ((1, (0, 3, 0, 0)), (-3, B2), (-2, B1), (6, (0, 0, 0, 0)))
     q = ((1, (0, 3, 0, 0)), (3, B2), (-2, B1), (-6, (0, 0, 0, 0)))
-    system = semialgebraic_system(fand(atom(">=", *p), atom(">=", *q)), 1)
+    system = semialgebraic_system(FAnd((atom(">=", *p), atom(">=", *q))), 1)
     assert system.witness((F(0),), 0, 0) == 4
     # at b = 3 exactly p = 0 >= 0: the root is the witness once the cell is gone
-    strict = semialgebraic_system(fand(atom(">=", *p), atom(">=", *q),
-                                       atom(">=", (3, (0, 0, 0, 0)), (-1, B1))), 1)
+    strict = semialgebraic_system(FAnd((atom(">=", *p), atom(">=", *q),
+                                        atom(">=", (3, (0, 0, 0, 0)), (-1, B1)))), 1)
     assert strict.witness((F(0),), 0, 0) == 3
 
 
@@ -595,7 +602,7 @@ def test_witness_picks_the_integer_of_least_magnitude(curved, lo, hi, w):
     if curved:
         formula = atom(">", (-q1 * q2, B2), (q1 * p2 + q2 * p1, B1), (-p1 * p2, one))
     else:
-        formula = fand(atom(">", (q1, B1), (-p1, one)), atom(">", (p2, one), (-q2, B1)))
+        formula = FAnd((atom(">", (q1, B1), (-p1, one)), atom(">", (p2, one), (-q2, B1))))
     assert semialgebraic_system(formula, 1).witness((F(0),), 0, 0) == w
 
 
@@ -690,7 +697,7 @@ def test_linear_witness_sound_and_complete(formula, a, m, n):
 def test_curved_path_agrees_with_linear_path(formula, a, m, n):
     # b^2 + 1 > 0 changes no truth but sends the witness through Sturm
     # isolation, which must find the same cells, samples and roots
-    curved = fand(formula, atom(">", (1, B2), (1, (0, 0, 0, 0))))
+    curved = FAnd((formula, atom(">", (1, B2), (1, (0, 0, 0, 0)))))
     assert (semialgebraic_system(curved, 1).witness((a,), m, n)
             == semialgebraic_system(formula, 1).witness((a,), m, n))
 

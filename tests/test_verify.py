@@ -293,6 +293,22 @@ def test_condition2_squaring():
     assert v.diagnostics == "m=21 serves all sampled points"
 
 
+def test_condition2_scans_no_enumeration():
+    # candidates are the witness and the oracle values; before, a 2,000-code
+    # enumeration scan ran first and never contributed one
+    division = division_system.__wrapped__()
+    calls = []
+    scan = division.enumerate
+
+    def counting(k):
+        calls.append(k)
+        return scan(k)
+
+    division.enumerate = counting
+    v = verify_condition2(division, division_oracle(), (F(1), F(3)), 4)
+    assert v.outcome is Outcome.PASS and calls == []
+
+
 # --- brute force ---------------------------------------------------------------------
 
 def test_brute_force_frozen_cases():
@@ -316,6 +332,14 @@ def test_brute_force_skips_domain_holes():
     assert not brute_force_condition1_check(
         (F(1), F(1, 20)), 9, F(20), 0, division_oracle(), grid=10
     )
+
+
+def test_brute_force_skips_points_outside_the_domain():
+    # grid 1 is the center alone, and x2 = 0 there: nothing is checked, and
+    # the oracle, which raises on division by zero, is never asked
+    assert brute_force_condition1_check((F(1), F(0)), 0, F(0), 0, division_oracle(), grid=1)
+    # grid 3 meets x2 = 0 (skipped) before (1, -2/3) refutes b = 0
+    assert not brute_force_condition1_check((F(1), F(0)), 0, F(0), 0, division_oracle(), grid=3)
 
 
 def test_brute_force_needs_exact_oracle():
