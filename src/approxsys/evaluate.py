@@ -13,9 +13,9 @@ no further trust in the search order, which has two phases:
 
   phase A  witness ladder: ask the system for a candidate b at input
            precisions l = (n+1)*2^t - 1, t <= 12, and certify it (the
-           exact quotient for division, a Taylor midpoint for cosine, a
-           cell of the b-line for every formula system, the operator's own
-           value for an extracted system);
+           exact quotient for division, the simplest dyadic near a Taylor
+           midpoint for cosine, a cell of the b-line for every formula
+           system, the operator's own value for an extracted system);
   phase B  a plain dovetailed sweep of (l, j, s) codes at full precision,
            which guarantees completeness: if any certifiable answer exists,
            enough budget eventually finds it.  A system without a witness

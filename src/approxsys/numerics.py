@@ -14,6 +14,7 @@ paths.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union
@@ -26,12 +27,17 @@ Point = Tuple[Fraction, ...]
 RatLike = Union[Fraction, int, str]
 
 
+# "-3", "p/q" and "0.25", each optionally signed; no exponents or underscores,
+# so a short literal cannot ask Fraction for a huge power of ten.
+_RAT_LITERAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def as_rat(value: RatLike) -> Rat:
     """Parse a rational exactly.
 
     Accepts Fraction, int, and strings in the forms "p/q", "-3", "0.25"
-    (finite decimal expansions only).  Floats are refused: they carry binary
-    rounding the caller never asked for.
+    (finite decimal expansions only), with surrounding whitespace.  Floats
+    are refused: they carry binary rounding the caller never asked for.
     """
     if isinstance(value, bool):
         raise FormatError(f"not a rational literal: {value!r}")
@@ -39,10 +45,10 @@ def as_rat(value: RatLike) -> Rat:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RAT_LITERAL.fullmatch(text := value.strip()):
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:  # 1/0, or too many digits
             raise FormatError(f"not a rational literal: {value!r}") from exc
     raise FormatError(f"not a rational literal: {value!r}")
 

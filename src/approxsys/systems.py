@@ -109,6 +109,44 @@ def maximal_division_system() -> DecidableSystem:
     )
 
 
+# --- simplest dyadics ------------------------------------------------------------
+
+def _dyadic_between(lo: int, hi: int, t: int) -> Rat:
+    """The simplest dyadic strictly inside (lo/t, hi/t), lo < hi and t > 0: the
+    integer of least magnitude if one lies inside, else the j/2^k with the
+    least k, which is unique (two neighbours on the 2^-k grid include one on
+    the 2^-(k-1) grid).
+
+    2^K > t/(hi - lo) widens the scaled interval past 1, so the integers A..B
+    strictly inside it are not empty.  They are the interval's dyadics of
+    denominator dividing 2^K, and the simplest is the one with the most
+    trailing zeros: B cut below the highest bit where A - 1 and B differ.
+    """
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_dyadic_between(-hi, -lo, t)
+    j = lo // t + 1  # the least integer above lo/t
+    if j * t < hi:
+        return Fraction(j)
+    K = (t // (hi - lo)).bit_length()
+    A = (lo << K) // t + 1
+    B = -((-hi << K) // t) - 1
+    h = ((A - 1) ^ B).bit_length() - 1
+    return Fraction(B >> h, 1 << (K - h))
+
+
+def _exact_dyadic(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
+    """The simplest dyadic strictly between exact ends lo < hi (None: an
+    infinite end, which always admits the integer of least magnitude)."""
+    if lo is None:
+        return Fraction(0) if hi is None or hi > 0 else Fraction(math.ceil(hi) - 1)
+    if hi is None:
+        return Fraction(0) if lo < 0 else Fraction(math.floor(lo) + 1)
+    return _dyadic_between(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                           lo.denominator * hi.denominator)
+
+
 # --- cosine -------------------------------------------------------------------
 
 @lru_cache(maxsize=65536)
@@ -180,14 +218,27 @@ def _cosine_decide(q: Quadruple) -> bool:
 
 
 def _cosine_witness(a_pt: Point, m: int, n: int) -> Optional[Rat]:
+    """The simplest dyadic within r = g - e_k of sigma_k(a), at the first
+    admissible k with e_k <= g (sigma_k itself when r = 0).
+
+    decide accepts such a b at k, since |b - sigma_k| + e_k < g, and rejects
+    it at no earlier j, since F_j - 2 e_j <= |b - cos a| < g.  The output
+    has O(log(1/r)) bits, where sigma_k has thousands at a large a.
+    """
     (a,) = a_pt
     g = Fraction(1, n + 1) - Fraction(1, m + 1)
     if g <= 0:  # only the degenerate a = 0 quadruples admit equality
         return Fraction(1) if g == 0 and a == 0 else None
     k = _cos_k0(a * a)
-    while _half_term(a, k) > g:  # ends, since e_k -> 0 and g > 0
+    while (e := _half_term(a, k)) > g:  # ends, since e_k -> 0 and g > 0
         k += 1
-    return sigma_k(a, k)
+    s = sigma_k(a, k)
+    if e == g:
+        return s
+    # over t = Q D G: sigma = P/Q, e = E/D, g = (m - n)/G with G = (n+1)(m+1)
+    P, Q, E, D, G = s.numerator, s.denominator, e.numerator, e.denominator, (n + 1) * (m + 1)
+    mid, r = P * D * G, Q * ((m - n) * D - E * G)
+    return _dyadic_between(mid - r, mid + r, Q * D * G)
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +502,7 @@ class _Root:
 
     def __init__(self, sign, lo: Rat, hi: Rat):
         self.sign, self.lo, self.hi = sign, lo, hi
-        self.left = sign(lo) if sign else 0  # the sign below the root
+        self.left = sign(lo)  # the sign below the root
 
     def grid(self, k: int) -> Tuple[int, int]:
         """The greatest j with j/2^k below the root and the least one above."""
@@ -513,10 +564,8 @@ def _isolated_roots(p: List[int]) -> List[_Root]:
 
 
 def _simplest_dyadic(lo: Optional[_Root], hi: Optional[_Root]) -> Rat:
-    """The dyadic j/2^k with the least k strictly between the roots lo < hi
-    (None: an infinite end); at k = 0 the integer of least magnitude.  For
-    k >= 1 it is unique: two neighbours on the 2^-k grid include one on the
-    2^-(k-1) grid."""
+    """_exact_dyadic for isolated roots lo < hi (None: an infinite end), found
+    level by level: the first grid 2^-k with a point between the roots."""
     k = 0
     while True:
         first = -math.inf if lo is None else lo.grid(k)[1]
@@ -570,8 +619,8 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
             zeros = [Fraction(-c[0], c[1]) if c[1] else None for c in rows]
             roots, places = [], [-1] * len(rows)
             for i in sorted((i for i, z in enumerate(zeros) if z is not None), key=zeros.__getitem__):
-                if not roots or zeros[i] != roots[-1].lo:
-                    roots.append(_Root(None, zeros[i], zeros[i]))
+                if not roots or zeros[i] != roots[-1]:
+                    roots.append(zeros[i])
                 places[i] = 2 * len(roots) - 1
             signed = {id(at): ((c[1] > 0) - (c[1] < 0) or (c[0] > 0) - (c[0] < 0), place)
                       for at, c, place in zip(atoms, rows, places)}
@@ -583,9 +632,9 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
         for i, (lo, hi) in enumerate(zip([None, *roots], [*roots, None])):
             p, x = 2 * i, _simplest_dyadic(lo, hi) if curved else None
             if _holds(formula, atom_holds):
-                return x if curved else _simplest_dyadic(lo, hi)
+                return x if curved else _exact_dyadic(lo, hi)
         for i, r in enumerate(roots):
-            p, x = 2 * i + 1, r.rational(lc) if curved else r.lo
+            p, x = 2 * i + 1, r.rational(lc) if curved else r
             if x is not None and _holds(formula, atom_holds):
                 return x
         return None

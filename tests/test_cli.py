@@ -71,8 +71,8 @@ def test_eval_json_output_byte_stable(capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc == {
-        "value": "4841/8960",
-        "decimal": "0.540290",
+        "value": "553/1024",
+        "decimal": "0.540039",
         "precision_index": 999,
         "search_steps": 1,
     }
@@ -103,6 +103,10 @@ def test_eval_usage_errors(capsys):
          "--point", "1", "--prec-index", "4"),
         ("eval", "--system", "division", "--point", "1,3",
          "--prec-index", "4", "--budget", "-2"),
+        # exponents are no rational literal: Fraction would expand 10^30000000
+        ("eval", "--system", "division", "--point", "1e-30000000,1", "--prec-index", "4"),
+        ("eval", "--system", "division", "--point", "1,3", "--eps", "1e-30000000"),
+        ("eval", "--system", "division", "--point", "1_000,3", "--prec-index", "4"),
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv)
@@ -125,8 +129,15 @@ def test_eval_compose(capsys):
         "--prec-index", "99",
     )
     assert code == 0
-    assert "value = 176559178136881/206391214080000" in out
+    assert "value = 219/256" in out
     assert "search_steps" not in out
+    # the outer cosine reads short dyadics, so its output stays short
+    code, out, _ = run(
+        capsys, "eval", "--compose", "cosine,cosine", "--point", "1",
+        "--prec-index", "3000",
+    )
+    assert code == 0
+    assert "value = 3513/4096" in out  # sigma_k itself: 180 bits
 
 
 def test_eval_compose_usage_errors(capsys):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from approxsys.core import ApproxSystem, DecidableSystem, Membership, Quadruple, encode_quadruple
 from approxsys.errors import DimensionError, DomainError, SearchTimeout
@@ -24,6 +25,7 @@ from approxsys.numerics import cantor_join, dist, encode_tuple
 from approxsys.systems import (
     cosine_system,
     division_system,
+    maximal_division_system,
     sigma_k,
     squaring_system,
 )
@@ -47,8 +49,9 @@ def test_division_witness_path_frozen():
 
 def test_cosine_witness_path_frozen():
     res = apply(cosine_system(), name_of_point((F(1),)), 999, 10**5)
-    assert res == EvalResult(F(4841, 8960), 999, 1)
-    assert res.value == sigma_k(F(1), 4)
+    assert res == EvalResult(F(553, 1024), 999, 1)
+    # certified at l = 1999, k = 4: within g - e_4 of sigma_4, g = 1/1000 - 1/2000
+    assert abs(res.value - sigma_k(F(1), 4)) < F(1, 2000) - F(1, 80640)
 
     at_zero = apply(cosine_system(), name_of_point((F(0),)), 9, 10**5)
     assert at_zero.value == F(1) and at_zero.search_steps == 1
@@ -178,13 +181,77 @@ def test_composition_of_cosines():
     inner = eval_name(cosine_system(), name_of_point((F(1),)))
     outer = eval_name(cosine_system(), inner)
     (v,) = outer.approx(99)
-    assert v == F(176559178136881, 206391214080000)
+    assert v == F(219, 256)
     truth = cos_taylor(cos_taylor(F(1), F(1, 10**8)), F(1, 10**8))
     assert abs(v - truth) < F(1, 100) + F(2, 10**8)
     # a fresh chain recomputes the same value
     inner2 = eval_name(cosine_system(), name_of_point((F(1),)))
     (v2,) = eval_name(cosine_system(), inner2).approx(99)
     assert v2 == v
+
+
+# --- adversarial names ----------------------------------------------------------
+
+def adversarial_name(point, seed):
+    """A valid name of `point` whose index i sits at a random rational strictly
+    inside the 1/(i+1) ball, often near its edge.  Each index draws from its
+    own generator, seeded by (seed, i): names memoize, so the value at i must
+    not depend on the order of reads."""
+    def fun(i):
+        rng = random.Random(f"{seed}:{i}")
+        out = []
+        for x in point:
+            d = rng.randint(1, 2**20)
+            lim = -(-d // (i + 1)) - 1  # ceil(d/(i+1)) - 1 < d/(i+1)
+            out.append(x + F(rng.choice((-lim, lim, rng.randint(-lim, lim))), d))
+        return tuple(out)
+
+    return OrdinaryName(fun, dim=len(point))
+
+
+def test_adversarial_names_are_valid_and_read_order_free():
+    point = (F(1, 3), F(-2))
+    forward, backward = adversarial_name(point, 7), adversarial_name(point, 7)
+    backward.approx(99)
+    for i in range(100):
+        assert forward.approx(i) == backward.approx(i)
+        assert dist(forward.approx(i), point) < F(1, i + 1)
+    assert forward.approx(99) != adversarial_name(point, 8).approx(99)
+
+
+EPS = F(1, 10**30)  # cos_taylor's error; far below any certificate's margin
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+AWAY_FROM_ZERO = st.fractions(min_value=F(1, 2), max_value=4, max_denominator=16)
+# system, point, the exact value or cos_taylor's, and the value's error bound
+BUILT_IN_CASES = st.one_of(
+    st.builds(lambda x1, x2, s, maximal: (
+        maximal_division_system() if maximal else division_system(), (x1, s * x2), x1 / (s * x2), 0),
+        SMALL, AWAY_FROM_ZERO, st.sampled_from((1, -1)), st.booleans()),
+    st.builds(lambda x: (cosine_system(), (x,), cos_taylor(x, EPS), EPS),
+              st.fractions(min_value=-6, max_value=6, max_denominator=16)),
+    st.builds(lambda x: (squaring_system(), (x,), x * x, 0), SMALL),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BUILT_IN_CASES, st.integers(min_value=0, max_value=300), st.integers(min_value=0))
+def test_apply_on_adversarial_names(case, n, seed):
+    system, point, truth, err = case
+    res = apply(system, adversarial_name(point, seed), n, 10**4)
+    assert abs(res.value - truth) + err < F(1, n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=-6, max_value=6, max_denominator=16),
+       st.booleans(), st.integers(min_value=0, max_value=300), st.integers(min_value=0))
+def test_two_level_eval_name_on_adversarial_names(x, squared, n, seed):
+    inner = eval_name(cosine_system(), adversarial_name((x,), seed), make_budget_schedule(10**4))
+    outer_system = squaring_system() if squared else cosine_system()
+    (v,) = eval_name(outer_system, inner, make_budget_schedule(10**4)).approx(n)
+    c = cos_taylor(x, EPS)
+    # |c^2 - cos^2 x| <= EPS (|c| + |cos x|) <= 3 EPS
+    truth, err = (c * c, 3 * EPS) if squared else (cos_taylor(c, EPS), 2 * EPS)
+    assert abs(v - truth) + err < F(1, n + 1)
 
 
 # --- name operators ---------------------------------------------------------------

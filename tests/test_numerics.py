@@ -175,11 +175,14 @@ def test_as_rat_parses_exactly():
     assert as_rat("3/4") == F(3, 4)
     assert as_rat("-2") == F(-2)
     assert as_rat(" 7/2 ") == F(7, 2)
+    assert as_rat("-3/4") == F(-3, 4)
+    assert as_rat("+0.5") == F(1, 2)
     assert as_rat(5) == F(5)
     assert as_rat(F(2, 3)) == F(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1.5.2", 1.5, None, True])
+@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1.5.2", 1.5, None, True,
+                                 "1e3", "2.5e-3", "1_000", "1e-30000000", ".5", "5."])
 def test_as_rat_rejects(bad):
     with pytest.raises(FormatError):
         as_rat(bad)

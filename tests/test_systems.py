@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from approxsys.core import Membership, Quadruple, decode_quadruple
 from approxsys.errors import DimensionError, FormatError
 from approxsys.evaluate import apply
-from approxsys.names import name_of_point
+from approxsys.names import dyadic_name, name_of_point
 from approxsys.systems import (
     Atom,
     FAnd,
@@ -16,6 +17,10 @@ from approxsys.systems import (
     FOr,
     _atoms,
     _corners,
+    _exact_dyadic,
+    _isolated_roots,
+    _mul,
+    _simplest_dyadic,
     atom,
     cosine_system,
     division_system,
@@ -220,6 +225,62 @@ def test_cosine_witness_certifies():
     assert sys.witness((F(1),), 3, 9) is None  # g < 0
     assert sys.witness((F(0),), 5, 5) == F(1)  # g = 0 at a = 0
     assert sys.witness((F(1),), 5, 5) is None  # g = 0 elsewhere
+
+
+def simplest_dyadic_reference(lo, hi):
+    """The dyadic strictly inside (lo, hi) on the coarsest grid 2^-k, k = 0, 1, ..:
+    at k = 0 the integer of least magnitude, above it the only grid point."""
+    k = 0
+    while True:
+        first, last = math.floor(lo * 2**k) + 1, math.ceil(hi * 2**k) - 1
+        if first <= last:
+            return F(min(max(0, first), last) if k == 0 else first, 2**k)
+        k += 1
+
+
+def cosine_witness_reference(a, m, n):
+    """The simplest dyadic within r = g - e_k of sigma_k(a), for the first k
+    with a^2 <= (2k+1)(2k+2) and e_k <= g, all in Fraction arithmetic."""
+    g = F(1, n + 1) - F(1, m + 1)
+    full = F(0)  # sum_{i<k} (-1)^i a^(2i)/(2i)!
+    for k in range(10**4):
+        term = F(a) ** (2 * k) / math.factorial(2 * k)
+        e = term / 2
+        if a * a <= (2 * k + 1) * (2 * k + 2) and e <= g:
+            s = full + (-1) ** k * e
+            return s if e == g else simplest_dyadic_reference(s - (g - e), s + (g - e))
+        full += (-1) ** k * term
+    raise AssertionError("no admissible k")
+
+
+@st.composite
+def cosine_witness_cases(draw):
+    a = draw(st.fractions(min_value=-40, max_value=40, max_denominator=2**20))
+    n = draw(st.integers(min_value=0, max_value=10**4 - 1))
+    return a, draw(st.integers(min_value=n + 1, max_value=10**4)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(cosine_witness_cases())
+def test_cosine_witness_is_the_simplest_dyadic_in_the_slack(case):
+    a, m, n = case
+    w = cosine_system().witness((a,), m, n)
+    assert cosine_system().decide(Quadruple((a,), m, w, n))
+    assert w.denominator & (w.denominator - 1) == 0
+    assert w == cosine_witness_reference(a, m, n)
+
+
+def test_cosine_witness_keeps_sigma_k_when_the_slack_is_empty():
+    # a = 1, k = 2: e_2 = 1/48 = g for (m, n) = (47, 23), so only sigma_2 fits
+    assert cosine_system().witness((F(1),), 47, 23) == sigma_k(F(1), 2) == F(25, 48)
+
+
+@pytest.mark.parametrize("name, n, value", [
+    (name_of_point((F(300),)), 10, F(0)),  # sigma_k itself: 9,516 bits
+    (dyadic_name((F(1, 3),)), 10**4, F(7741, 8192)),  # sigma_k itself: 240,046 bits
+], ids=["cos 300", "cos of a dyadic name of 1/3"])
+def test_cosine_outputs_are_short(name, n, value):
+    assert apply(cosine_system(), name, n, 13).value == value
 
 
 # --- formulas ----------------------------------------------------------------
@@ -604,6 +665,37 @@ def test_witness_picks_the_integer_of_least_magnitude(curved, lo, hi, w):
     else:
         formula = FAnd((atom(">", (q1, B1), (-p1, one)), atom(">", (p2, one), (-q2, B1))))
     assert semialgebraic_system(formula, 1).witness((F(0),), 0, 0) == w
+
+
+def _isolated(*ends):
+    """The given rationals as roots isolated by Sturm bisection, not exact."""
+    poly = reduce(_mul, ([-x.numerator, x.denominator] for x in ends))
+    return _isolated_roots(poly)
+
+
+@st.composite
+def dyadic_intervals(draw):
+    """lo < hi: negative, straddling 0, around integers, or narrower than 2^-60."""
+    lo = draw(st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+    width = draw(st.one_of(
+        st.fractions(min_value=0, max_value=5, max_denominator=10**6).filter(bool),
+        st.integers(min_value=61, max_value=90).map(lambda k: F(1, 2**k + 1)),
+    ))
+    return lo, lo + width
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_intervals())
+def test_exact_dyadic_matches_the_grid_loop(ends):
+    lo, hi = ends
+    expected = simplest_dyadic_reference(lo, hi)
+    assert _exact_dyadic(lo, hi) == expected
+    assert _simplest_dyadic(*_isolated(lo, hi)) == expected
+    # an infinite end admits the integer of least magnitude
+    (root_lo,), (root_hi,) = _isolated(lo), _isolated(hi)
+    assert _exact_dyadic(lo, None) == _simplest_dyadic(root_lo, None) == max(0, math.floor(lo) + 1)
+    assert _exact_dyadic(None, hi) == _simplest_dyadic(None, root_hi) == min(0, math.ceil(hi) - 1)
+    assert _exact_dyadic(None, None) == 0
 
 
 @settings(max_examples=200, deadline=None)
