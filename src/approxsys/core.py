@@ -19,10 +19,9 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError
 from .numerics import (
@@ -44,8 +43,13 @@ class Membership(Enum):
     NOT_YET = "not_yet"
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(NamedTuple):
+    """An immutable record (a, m, b, n) that unpacks as one.
+
+    A named tuple because it is cheap to build: every probe of the evaluator
+    and every code an enumeration decodes builds one.
+    """
+
     a: Point
     m: int
     b: Rat

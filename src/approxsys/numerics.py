@@ -97,8 +97,11 @@ def cantor_join(x: int, y: int) -> int:
 
 
 def cantor_split(k: int) -> Tuple[int, int]:
-    """Inverse of cantor_join."""
-    t = (math.isqrt(8 * k + 1) - 1) // 2
+    """Inverse of cantor_join; DomainError on a negative k."""
+    try:
+        t = (math.isqrt(8 * k + 1) - 1) // 2
+    except ValueError:  # isqrt of a negative number: k < 0
+        raise DomainError("codes are natural numbers") from None
     y = k - t * (t + 1) // 2
     return t - y, y
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from .core import DecidableSystem, Quadruple
 from .errors import FormatError
@@ -58,12 +58,6 @@ def division_system() -> DecidableSystem:
 
 # --- maximal division ---------------------------------------------------------
 
-def _corners(a: Point, m: int):
-    a1, a2 = a
-    M = m + 1
-    return [(M * a1 + e1) / (M * a2 + e2) for e1 in (1, -1) for e2 in (1, -1)]
-
-
 def _maximal_division_decide(q: Quadruple) -> bool:
     # Accept iff the quotient's range over the *closed* ball of radius
     # 1/(m+1) around a sits inside the closed interval of radius 1/(n+1)
@@ -91,11 +85,26 @@ def _maximal_division_decide(q: Quadruple) -> bool:
 
 
 def _maximal_division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
+    # The midpoint of the least and the greatest corner, which decide
+    # accepts whenever it accepts any b.  On the integer corners x/y of
+    # _maximal_division_decide: (a1, a2) and (-a1, -a2) have the same
+    # corners, so take p2 > 0; then both y are positive, y+ > y-, and the
+    # corner with e1 = 1 is the greater at each y.  Cross-multiplied,
+    # x/y- >= x/y+ iff x >= 0, which picks the greatest corner of the
+    # e1 = 1 pair and the least of the e1 = -1 pair.
     a1, a2 = a
-    if (m + 1) * abs(a2) <= 1:
+    p1, q1 = a1.numerator, a1.denominator
+    p2, q2 = a2.numerator, a2.denominator
+    M = m + 1
+    if M * abs(p2) <= q2:
         return None
-    corners = _corners(a, m)
-    return (max(corners) + min(corners)) / 2
+    if p2 < 0:
+        p1, p2 = -p1, -p2
+    x_hi, x_lo = (M * p1 + q1) * q2, (M * p1 - q1) * q2
+    y_big, y_small = (M * p2 + q2) * q1, (M * p2 - q2) * q1
+    y_hi = y_small if x_hi >= 0 else y_big
+    y_lo = y_big if x_lo >= 0 else y_small
+    return Fraction(x_hi * y_lo + x_lo * y_hi, 2 * y_hi * y_lo)
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +289,9 @@ class FNot:
     arg: "Formula"
 
 
-Formula = Union[Atom, FAnd, FOr, FNot]
+# A string, not a typing.Union: typing caches Union[...] with its arguments,
+# and the cache would keep every imported copy of this module alive.
+Formula = "Union[Atom, FAnd, FOr, FNot]"
 
 
 def atom(op: str, *monomials) -> Atom:

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, corners
 
 from approxsys.core import DecidableSystem, Membership, Quadruple
 from approxsys.evaluate import apply, eval_name, operator_from_system, system_from_operator
@@ -22,7 +22,6 @@ from approxsys.names import (
 )
 from approxsys.numerics import dist
 from approxsys.systems import (
-    _corners,
     cosine_system,
     division_system,
     maximal_division_system,
@@ -130,7 +129,7 @@ def _maximal_with_open_interval(q: Quadruple) -> bool:
         return False
     v = F(1, q.n + 1)
     lo, hi = q.b - v, q.b + v
-    return all(lo < c < hi for c in _corners(q.a, q.m))
+    return all(lo < c < hi for c in corners(q.a, q.m))
 
 
 def test_criterion_06_mutation_sensitivity():

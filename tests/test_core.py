@@ -32,6 +32,18 @@ def test_quadruple_code_frozen():
     assert decode_quadruple(7, 2) == q0
 
 
+def test_quadruple_is_an_immutable_value():
+    q = Quadruple((F(1), F(3)), 1, F(1, 3), 2)
+    with pytest.raises(AttributeError):
+        q.m = 5
+    same = Quadruple((F(1), F(3)), 1, F(1, 3), 2)
+    assert q == same and hash(q) == hash(same) and len({q, same}) == 1
+    assert q != Quadruple((F(1), F(3)), 1, F(1, 3), 3)
+    assert repr(q) == "Quadruple(a=(1, 3), m=1, b=1/3, n=2)"
+    a, m, b, n = q
+    assert (a, m, b, n) == (q.a, q.m, q.b, q.n)
+
+
 @given(st.lists(rationals, min_size=1, max_size=2), small_nats, rationals, small_nats)
 def test_quadruple_code_round_trip(coords, m, b, n):
     q = Quadruple(tuple(coords), m, b, n)

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,3 +417,15 @@ def test_extracted_membership_far_from_the_origin_finishes():
     quad = Quadruple((F(10**4), F(1)), 1, F(0), 0)
     for budget in (171, 172, 5000):
         assert ext.membership(quad, budget) is Membership.NOT_YET
+
+
+# --- README -------------------------------------------------------------------
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    names = {}
+    exec(block, names)
+    assert names["res"].value == F(1, 3)
+    (value,) = names["cos_name"].approx(99)
+    assert abs(value - cos_taylor(F(1), EPS)) <= F(1, 100) + EPS

@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used by that module.
+"""Every top-level import of a package module is used by that module, and a
+re-import leaves no copy of the package alive.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: a name bound by a module-level import must occur as a name
@@ -7,6 +8,10 @@ somewhere in the module.  `__init__.py` re-exports by importing, and
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -42,3 +47,28 @@ def test_unused_import_is_reported():
               "from typing import List, Tuple\n"
               "x: List[int] = []\n")
     assert unused_imports(source) == [(2, "math"), (3, "Tuple")]
+
+
+def test_reimport_keeps_one_copy_of_each_module():
+    # typing caches a subscripted alias such as Union[Atom, ...] together
+    # with its arguments, so an alias over a module's own classes keeps
+    # every imported copy of that module alive.
+    script = textwrap.dedent("""
+        import gc, importlib, sys
+        for _ in range(2):
+            for name in [m for m in sys.modules if m.split(".")[0] == "approxsys"]:
+                del sys.modules[name]
+            importlib.import_module("approxsys")
+        gc.collect()
+        names = sorted(m for m in sys.modules if m.startswith("approxsys."))
+        for name in names:
+            copies = sum(isinstance(o, dict) and o.get("__name__") == name
+                         for o in gc.get_objects())
+            print(name, copies)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(approxsys.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    copies = dict(line.split() for line in out.splitlines())
+    assert copies["approxsys.systems"] == "1"
+    assert set(copies.values()) == {"1"}, copies

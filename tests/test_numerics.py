@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from approxsys.core import decode_quadruple
 from approxsys.errors import DimensionError, DomainError, FormatError
 from approxsys.numerics import (
     as_rat,
@@ -201,3 +202,16 @@ def test_decimal_str_frozen():
 def test_decimal_str_accuracy(x, digits):
     rendered = as_rat(decimal_str(x, digits))
     assert abs(rendered - x) <= F(1, 2 * 10**digits)
+
+
+@pytest.mark.parametrize("decode, args", [
+    (cantor_split, ()),
+    (decode_tuple, (3,)),
+    (decode_rat, ()),
+    (decode_point, (2,)),
+    (decode_quadruple, (2,)),
+], ids=["cantor_split", "decode_tuple", "decode_rat", "decode_point", "decode_quadruple"])
+@pytest.mark.parametrize("code", [-1, -10**30])
+def test_decoders_reject_negative_codes(decode, args, code):
+    with pytest.raises(DomainError, match="codes are natural numbers"):
+        decode(code, *args)

@@ -16,7 +16,6 @@ from approxsys.systems import (
     FNot,
     FOr,
     _atoms,
-    _corners,
     _exact_dyadic,
     _isolated_roots,
     _mul,
@@ -34,6 +33,7 @@ from approxsys.systems import (
     squaring_system,
 )
 from approxsys.verify import cos_taylor
+from conftest import corners
 
 # --- division ------------------------------------------------------------
 
@@ -86,8 +86,33 @@ def test_division_witness_is_exact_quotient(a1, a2, m, n):
 # --- maximal division ------------------------------------------------------
 
 def test_corner_values_frozen():
-    assert _corners((F(1), F(3)), 1) == [F(3, 7), F(3, 5), F(1, 7), F(1, 5)]
-    assert _corners((F(1), F(3)), 0) == [F(1, 2), F(1), F(0), F(0)]
+    assert corners((F(1), F(3)), 1) == [F(3, 7), F(3, 5), F(1, 7), F(1, 5)]
+    assert corners((F(1), F(3)), 0) == [F(1, 2), F(1), F(0), F(0)]
+
+
+@st.composite
+def maximal_division_witness_inputs(draw):
+    """(a, m) with m up to 10^6 and a2 of either sign, often with (m+1)|a2|
+    equal to 1 or just above it."""
+    m = draw(st.integers(0, 10**6))
+    a1 = draw(st.one_of(rats, st.fractions(-10**6, 10**6, max_denominator=10**6)))
+    sign = draw(st.sampled_from((1, -1)))
+    edge = sign * F(1, m + 1)
+    just_above = edge * (1 + F(1, draw(st.integers(1, 10**6))))
+    a2 = draw(st.one_of(rats, st.just(edge), st.just(just_above)))
+    return (a1, a2), m
+
+
+@settings(max_examples=500)
+@given(maximal_division_witness_inputs(), precisions)
+def test_maximal_division_witness_matches_reference(a_m, n):
+    a, m = a_m
+    w = maximal_division_system().witness(a, m, n)
+    if (m + 1) * abs(a[1]) <= 1:
+        assert w is None
+    else:
+        cs = corners(a, m)
+        assert w == (max(cs) + min(cs)) / 2
 
 
 def maximal_division_reference(q: Quadruple) -> bool:
@@ -96,7 +121,7 @@ def maximal_division_reference(q: Quadruple) -> bool:
     if (q.m + 1) * abs(a2) <= 1:
         return False
     v = F(1, q.n + 1)
-    return all(q.b - v <= c <= q.b + v for c in _corners(q.a, q.m))
+    return all(q.b - v <= c <= q.b + v for c in corners(q.a, q.m))
 
 
 @st.composite
@@ -108,7 +133,7 @@ def maximal_division_quads(draw):
     a2 = draw(st.one_of(rats, st.sampled_from((1, -1)).map(lambda s: F(s, m + 1))))
     b = draw(rats)
     if (m + 1) * abs(a2) > 1 and draw(st.booleans()):
-        corner = draw(st.sampled_from(_corners((a1, a2), m)))
+        corner = draw(st.sampled_from(corners((a1, a2), m)))
         b = corner + draw(st.sampled_from((1, -1))) * F(1, n + 1)
     return Quadruple((a1, a2), m, b, n)
 

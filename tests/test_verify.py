@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from approxsys.core import ApproxSystem, DecidableSystem, Quadruple
 from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
-    _corners,
     atom,
     cosine_system,
     division_system,
@@ -30,6 +29,7 @@ from approxsys.verify import (
     verify_condition2,
     verify_containment,
 )
+from conftest import corners
 
 # --- reference oracle ---------------------------------------------------------
 
@@ -249,7 +249,7 @@ def _mutant_open_interval_maximal(q: Quadruple) -> bool:
         return False
     v = F(1, q.n + 1)
     lo, hi = q.b - v, q.b + v
-    for c in _corners(q.a, q.m):
+    for c in corners(q.a, q.m):
         if c <= lo or c >= hi:  # closed containment became open
             return False
     return True
