@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple, decode_quadruple
 from .errors import DimensionError, DomainError, SearchTimeout
@@ -50,23 +50,7 @@ class EvalResult:
     search_steps: int
 
 
-class _Probes:
-    __slots__ = ("used", "budget")
-
-    def __init__(self, budget: int):
-        self.used = 0
-        self.budget = budget
-
-
-def _probe(system: ApproxSystem, quad: Quadruple, s: int, probes: _Probes) -> bool:
-    if probes.used >= probes.budget:
-        raise SearchTimeout(probes.budget)
-    probes.used += 1
-    return system.membership(quad, s) is Membership.YES
-
-
-def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
-          _probes: Optional[_Probes] = None) -> EvalResult:
+def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalResult:
     """One certified output approximation at precision index n.
 
     Raises DomainError on a negative n or budget, before reading the name,
@@ -81,7 +65,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
         raise DimensionError(
             f"{system.name}: name of dimension {f.dim}, system expects {system.dim_in}"
         )
-    probes = _probes if _probes is not None else _Probes(budget)
+    used = 0
 
     # phase A: certified witnesses at geometrically finer input precision
     if system.provides_witness:
@@ -91,15 +75,21 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int,
             b = system.witness(a, l, n)
             if b is None:
                 continue
-            if _probe(system, Quadruple(a, l, b, n), l, probes):
-                return EvalResult(b, n, probes.used)
+            if used == budget:
+                raise SearchTimeout(budget)
+            used += 1
+            if system.membership(Quadruple(a, l, b, n), l) is Membership.YES:
+                return EvalResult(b, n, used)
 
     # phase B: exhaustive dovetailing at the requested precision
     for g in count():
         l, j, s = decode_tuple(g, 3)
         quad = Quadruple(f.approx(l), l, decode_rat(j), n)
-        if _probe(system, quad, s, probes):
-            return EvalResult(quad.b, n, probes.used)
+        if used == budget:
+            raise SearchTimeout(budget)
+        used += 1
+        if system.membership(quad, s) is Membership.YES:
+            return EvalResult(quad.b, n, used)
 
 
 def make_budget_schedule(base: int) -> Callable[[int], int]:
@@ -166,50 +156,32 @@ class _FragmentMiss(Exception):
         self.index = index
 
 
-class _FragmentName(OrdinaryName):
-    """Name backed by a finite fragment; reads past the end raise."""
-
-    def __init__(self, fragment: Tuple[Point, ...], dim: int):
-        def fun(i: int) -> Point:
-            if i < len(fragment):
-                return fragment[i]
-            raise _FragmentMiss(i)
-
-        super().__init__(fun, dim)
-
-
 class _SystemOperator(NameOperator):
     """Wrap apply(system, -, output_index, steps) as a name operator.
 
-    The memo keeps one record (event, probes_used) per (fragment, output
-    index): the Value or OracleMiss the deepest run so far fired and the
-    probe count at which it fired, or None and the budget after a timeout.
-    Only a timeout is rerun, and only with more budget; otherwise the record
-    answers, giving exactly what a fresh run with the requested budget would
-    return, because the probe sequence is deterministic and budget-monotone.
+    It keeps no state: each run is one fresh `apply` on a name that reads
+    the fragment, with `steps` as its budget.  A read past the fragment's
+    end is an OracleMiss and a timeout is OutOfBudget.  The probe sequence
+    is deterministic and reads the name in a fixed order, so a Value
+    persists under more budget and under any fragment extension.
     """
 
     def __init__(self, system: ApproxSystem):
         self._system = system
-        self._memo: Dict[Tuple[Tuple[Point, ...], int],
-                         Tuple[Optional[Union[Value, OracleMiss]], int]] = {}
 
     def run(self, fragment: Tuple[Point, ...], output_index: int, steps: int):
-        fragment = tuple(tuple(c) for c in fragment)
-        key = (fragment, output_index)
-        event, used = self._memo.get(key, (None, None))
-        if used is None or (event is None and steps > used):
-            probes = _Probes(steps)
-            name = _FragmentName(fragment, self._system.dim_in)
-            try:
-                event = Value(apply(self._system, name, output_index, steps, _probes=probes).value)
-            except _FragmentMiss as miss:
-                event = OracleMiss(miss.index)
-            except SearchTimeout:
-                event = None
-            used = probes.used
-            self._memo[key] = (event, used)
-        return event if event is not None and steps >= used else OutOfBudget()
+        def read(i: int) -> Point:
+            if i < len(fragment):
+                return fragment[i]
+            raise _FragmentMiss(i)
+
+        name = OrdinaryName(read, self._system.dim_in)
+        try:
+            return Value(apply(self._system, name, output_index, steps).value)
+        except _FragmentMiss as miss:
+            return OracleMiss(miss.index)
+        except SearchTimeout:
+            return OutOfBudget()
 
 
 def operator_from_system(system: ApproxSystem) -> NameOperator:

@@ -122,6 +122,8 @@ def decode_tuple(code: int, length: int) -> Tuple[int, ...]:
     """Inverse of encode_tuple for a known tuple length."""
     if length <= 0:
         raise DomainError("tuple length must be positive")
+    if code < 0:
+        raise DomainError("codes are natural numbers")
     rev = []
     for _ in range(length - 1):
         code, last = cantor_split(code)

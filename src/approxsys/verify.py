@@ -5,7 +5,8 @@ found at these sample sizes and seed".  CounterExample verdicts carry the
 offending quadruple and point and are always genuine relative to the oracle's
 accuracy contract.  When an inexact oracle cannot separate a distance from
 the bound, the verdict degrades to Inconclusive rather than guessing.
-Every audit raises DimensionError before any work on mismatched dimensions.
+Every audit raises DimensionError before any work on mismatched dimensions,
+and DomainError on a negative index or a sample count below 1.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def _quad_dict(q: Quadruple) -> dict:
 def _same_dim(left: str, left_dim: int, right: str, right_dim: int):
     if left_dim != right_dim:
         raise DimensionError(f"{left} has dimension {left_dim}, {right} has dimension {right_dim}")
+
+
+def _at_least(least: int, **args: int):
+    for name, value in args.items():
+        if value < least:
+            raise DomainError(f"{name} must be at least {least}, got {value}")
 
 
 # --- reference oracles ----------------------------------------------------------
@@ -205,6 +212,7 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     real counterexample also shows up.
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
+    _at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
     rng = random.Random(seed)
     quads = system.members_prefix(quad_samples, scan_cap)
     samples = 0
@@ -269,6 +277,8 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     _same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
+    _at_least(0, n=n)
+    _at_least(1, a_samples=a_samples)
     rng = random.Random(seed)
     quarter = Fraction(1, 4 * (n + 1))
     samples = 0
@@ -321,6 +331,8 @@ def brute_force_condition1_check(a: Point, m: int, b: Rat, n: int,
     if not oracle.exact:
         raise DomainError("brute_force_condition1_check needs an exact oracle")
     _same_dim("point a", len(a), f"oracle {oracle.name}", oracle.dim)
+    _at_least(0, m=m, n=n)
+    _at_least(1, grid=grid)
     r = Fraction(1, m + 1)
     bound = Fraction(1, n + 1)
     offsets = [r * Fraction(2 * j + 1 - grid, grid) for j in range(grid)]

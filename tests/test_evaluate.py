@@ -271,7 +271,7 @@ def test_operator_miss_and_value():
     assert T.run(full, 1, 50) == Value(F(1, 2))
 
 
-def test_operator_memo_replays_budget_faithfully():
+def test_operator_run_is_budget_faithful():
     T = operator_from_system(division_system())
     frag = _pt_fragment((F(1), F(2)), 4)
     assert T.run(frag, 1, 0) == OutOfBudget()
@@ -359,7 +359,7 @@ def test_operator_system_rejects_nonpositive_dimension():
             system_from_operator(_DeadOperator(), dim)
 
 
-def test_timed_out_run_replays_without_rerunning():
+def test_each_run_costs_its_own_probes():
     # a system with no witness and an empty accept set: each probe is one decide
     calls = []
 
@@ -369,14 +369,11 @@ def test_timed_out_run_replays_without_rerunning():
 
     T = operator_from_system(DecidableSystem(reject, 1))
     frag = _pt_fragment((F(0),), 20)
-    assert T.run(frag, 0, 5) == OutOfBudget()
-    assert len(calls) == 5
-    assert T.run(frag, 0, 5) == OutOfBudget()
-    assert T.run(frag, 0, 3) == OutOfBudget()
-    assert len(calls) == 5
-    # more budget than the timed-out run had: a fresh run from probe 0
-    assert T.run(frag, 0, 7) == OutOfBudget()
-    assert len(calls) == 12
+    counts = []
+    for steps in (5, 5, 3, 7):
+        assert T.run(frag, 0, steps) == OutOfBudget()
+        counts.append(len(calls))
+    assert counts == [5, 10, 13, 20]
 
 
 # --- candidates of extracted systems ------------------------------------------------

@@ -1,10 +1,14 @@
-"""Every top-level import of a package module is used by that module, and a
+"""Every top-level import of a package module is used by that module, every
+module-level private name is referenced somewhere in the package, and a
 re-import leaves no copy of the package alive.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree: a name bound by a module-level import must occur as a name
 somewhere in the module.  `__init__.py` re-exports by importing, and
 `from __future__` imports switch on language features; both are exempt.
+A private name (`_x`, not a dunder) bound at module level by a def, class
+or assignment must be read, as a name, an attribute or an import, in some
+module of the package.
 """
 
 import ast
@@ -36,6 +40,33 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def unreferenced_private_names(sources):
+    """(module, line, name) for each module-level private binding in
+    `sources` (module name -> source) that no module reads."""
+    bound = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            bound += [(module, node.lineno, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(b for b in bound if b[2] not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -47,6 +78,29 @@ def test_unused_import_is_reported():
               "from typing import List, Tuple\n"
               "x: List[int] = []\n")
     assert unused_imports(source) == [(2, "math"), (3, "Tuple")]
+
+
+def test_package_reads_every_private_name():
+    package = Path(approxsys.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_reported():
+    sources = {
+        "a.py": ("_used = 1\n"
+                 "_dead: int = 2\n"
+                 "def _helper():\n"
+                 "    return _used\n"
+                 "class _Spare:\n"
+                 "    pass\n"
+                 "_imported = _attr = 3\n"
+                 "__all__ = []\n"),
+        "b.py": ("from .a import _helper, _imported\n"
+                 "import a\n"
+                 "a._attr\n"),
+    }
+    assert unreferenced_private_names(sources) == [("a.py", 2, "_dead"), ("a.py", 5, "_Spare")]
 
 
 def test_reimport_keeps_one_copy_of_each_module():

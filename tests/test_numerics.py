@@ -207,10 +207,12 @@ def test_decimal_str_accuracy(x, digits):
 @pytest.mark.parametrize("decode, args", [
     (cantor_split, ()),
     (decode_tuple, (3,)),
+    (decode_tuple, (1,)),
     (decode_rat, ()),
     (decode_point, (2,)),
     (decode_quadruple, (2,)),
-], ids=["cantor_split", "decode_tuple", "decode_rat", "decode_point", "decode_quadruple"])
+], ids=["cantor_split", "decode_tuple", "decode_tuple_1", "decode_rat", "decode_point",
+        "decode_quadruple"])
 @pytest.mark.parametrize("code", [-1, -10**30])
 def test_decoders_reject_negative_codes(decode, args, code):
     with pytest.raises(DomainError, match="codes are natural numbers"):

@@ -18,6 +18,7 @@ from approxsys.systems import (
 )
 from approxsys.verify import (
     Outcome,
+    RefOracle,
     Verdict,
     _sample_ball,
     brute_force_condition1_check,
@@ -435,6 +436,53 @@ def test_containment_dimension_checked_before_any_scan():
     with pytest.raises(DimensionError):
         verify_containment(counting, division_system(), count=20)
     assert calls == []
+
+
+# --- argument checks ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [
+    {"quad_samples": 0},  # unchecked, a pass on 0 samples
+    {"xi_samples": 0},  # unchecked, a pass on 0 samples
+    {"quad_samples": -3},
+])
+def test_condition1_rejects_empty_sample_counts(kwargs):
+    counting, calls = _counting_system(2)
+    with pytest.raises(DomainError):
+        verify_condition1(counting, division_oracle(), **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, a_samples", [
+    (-2, 6),  # unchecked, "m=0 serves all sampled points"
+    (-1, 6),  # unchecked, ZeroDivisionError
+    (4, 0),  # unchecked, a pass on 0 samples
+])
+def test_condition2_rejects_meaningless_arguments(n, a_samples):
+    counting, calls = _counting_system(2)
+    with pytest.raises(DomainError):
+        verify_condition2(counting, division_oracle(), (F(1), F(3)), n, a_samples=a_samples)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m, n, grid", [
+    (9, -2, 10),  # unchecked, a violation
+    (9, -1, 10),  # unchecked, ZeroDivisionError
+    (-2, 2, 10),  # unchecked, a pass
+    (-1, 2, 10),  # unchecked, ZeroDivisionError
+    (9, 2, 0),  # unchecked, a vacuous pass
+])
+def test_brute_force_rejects_meaningless_arguments(m, n, grid):
+    asked = []
+    div = division_oracle()
+
+    def counting_eval(xi, eps):
+        asked.append(xi)
+        return div.eval(xi, eps)
+
+    oracle = RefOracle(counting_eval, div.domain_test, div.exact, div.name, div.dim)
+    with pytest.raises(DomainError):
+        brute_force_condition1_check((F(1), F(3)), m, F(1, 3), n, oracle, grid=grid)
+    assert asked == []
 
 
 # --- verdict plumbing -------------------------------------------------------------------
