@@ -55,13 +55,8 @@ _ORACLES = {
     "square": squaring_oracle,
 }
 
-# which oracle audits which built-in system
-_ORACLE_FOR_SYSTEM = {
-    "division": "division",
-    "maximal-division": "division",
-    "cosine": "cosine",
-    "square": "square",
-}
+# the oracle that audits each built-in system
+_BUILTIN_ORACLES = {**_ORACLES, "maximal-division": division_oracle}
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -163,14 +158,6 @@ def _cmd_eval(args) -> int:
 
     if args.compose is not None:
         chain = [_resolve_system(nm.strip()) for nm in args.compose.split(",")]
-        for system in chain:
-            if system.dim_in != 1:
-                raise _UsageError(
-                    f"--compose chains unary systems; {system.name} has "
-                    f"dimension {system.dim_in}"
-                )
-        if len(point) != 1:
-            raise _UsageError("--compose expects a one-dimensional --point")
         f = name_of_point(point)
         for system in reversed(chain):
             f = eval_name(system, f, schedule)
@@ -179,11 +166,6 @@ def _cmd_eval(args) -> int:
         return _EXIT_OK
 
     system = _resolve_system(args.system)
-    if len(point) != system.dim_in:
-        raise _UsageError(
-            f"{system.name} expects a point of dimension {system.dim_in}, "
-            f"got {len(point)}"
-        )
     result = apply(system, name_of_point(point), n, schedule(n))
     _print_eval(result.value, result.precision_index, result.search_steps, args)
     return _EXIT_OK
@@ -197,18 +179,7 @@ def _cmd_enumerate(args) -> int:
     system = _resolve_system(args.system)
     members = system.members_prefix(args.count, args.scan_cap)
     if args.output == "json":
-        doc = {
-            "system": system.name,
-            "members": [
-                {
-                    "a": [str(c) for c in q.a],
-                    "m": q.m,
-                    "b": str(q.b),
-                    "n": q.n,
-                }
-                for q in members
-            ],
-        }
+        doc = {"system": system.name, "members": [q.to_json_dict() for q in members]}
         print(json.dumps(doc, sort_keys=True))
     else:
         for idx, q in enumerate(members):
@@ -239,14 +210,12 @@ def _cmd_verify(args) -> int:
     _at_least("--scan-cap", args.scan_cap)
     _at_least("--cond2-n", args.cond2_n)
     system = _resolve_system(args.system)
-    if args.oracle is not None:
-        oracle = _ORACLES[args.oracle]()
-    elif args.system in _ORACLE_FOR_SYSTEM:
-        oracle = _ORACLES[_ORACLE_FOR_SYSTEM[args.system]]()
-    else:
+    factory = _ORACLES.get(args.oracle) or _BUILTIN_ORACLES.get(args.system)
+    if factory is None:
         raise _UsageError(
             "formula systems need --oracle to say what they claim to compute"
         )
+    oracle = factory()
     if args.cond2_xi is not None:
         xi = _parse_point(args.cond2_xi)
         if len(xi) != system.dim_in:
@@ -300,7 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--digits", type=int, help="decimal digits to display")
     p_eval.add_argument(
         "--compose",
-        help="comma-separated chain of unary systems, outermost first",
+        help="comma-separated chain of systems, outermost first; every system "
+        "but the innermost is unary",
     )
 
     p_enum = sub.add_parser("enumerate", help="list the first members of a system")

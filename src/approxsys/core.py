@@ -23,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .numerics import (
     Point,
     Rat,
@@ -58,6 +58,10 @@ class Quadruple(NamedTuple):
     def __repr__(self):
         coords = ", ".join(str(c) for c in self.a)
         return f"Quadruple(a=({coords}), m={self.m}, b={self.b}, n={self.n})"
+
+    def to_json_dict(self) -> dict:
+        """The JSON record of the CLI's enumerate output and the audits' witnesses."""
+        return {"a": [str(c) for c in self.a], "m": self.m, "b": str(self.b), "n": self.n}
 
 
 def encode_quadruple(q: Quadruple) -> int:
@@ -156,8 +160,10 @@ class ApproxSystem:
         sparse or empty systems).  The scan prefix is cached on the instance
         and later requests resume where it stopped; members cached from
         beyond scan_cap are left out, so the result does not depend on
-        earlier requests.
+        earlier requests.  DomainError on a negative count or scan_cap.
         """
+        if count < 0 or (scan_cap is not None and scan_cap < 0):
+            raise DomainError(f"count {count} and scan_cap {scan_cap} must be natural numbers")
         if scan_cap is None:
             scan_cap = _DEFAULT_CAP_PER_MEMBER * count + _DEFAULT_CAP_FLOOR
         with self._prefix_lock:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .core import DecidableSystem, Quadruple
 from .errors import FormatError
@@ -311,13 +311,20 @@ def _holds(formula: Formula, atom_holds: Callable[[Atom], bool]) -> bool:
     return not decisive
 
 
-def _atoms(formula: Formula) -> List[Atom]:
-    """Every atom occurrence in the formula, left to right."""
+def _atoms(formula: Formula) -> Iterator[Atom]:
+    """Every atom occurrence in the formula, left to right, lazily.
+
+    FormatError on reaching a node that is no Atom, FAnd, FOr or FNot.
+    """
     if isinstance(formula, Atom):
-        return [formula]
-    if isinstance(formula, FNot):
-        return _atoms(formula.arg)
-    return [at for f in formula.args for at in _atoms(f)]
+        yield formula
+    elif isinstance(formula, FNot):
+        yield from _atoms(formula.arg)
+    elif isinstance(formula, (FAnd, FOr)):
+        for f in formula.args:
+            yield from _atoms(f)
+    else:
+        raise FormatError(f"not a formula node: {formula!r}")
 
 
 def _sign_holds(op: str, sign) -> bool:
@@ -333,7 +340,7 @@ def _compile(formula: Formula, dim: int):
     monomial coef * prod_x x^e adds coef * prod_x num(x)^e * den(x)^(top(x) - e)
     to c at b's exponent.  Scaling by D keeps every sign and every root in b.
     """
-    atoms = _atoms(formula)
+    atoms = list(_atoms(formula))
     others = [i for i in range(dim + 3) if i != dim]
     top = [max((e[i] for at in atoms for _, e in at.poly), default=0) for i in others]
     deg = max([1, *(e[dim] for at in atoms for _, e in at.poly)])
@@ -359,11 +366,11 @@ def _compile(formula: Formula, dim: int):
     return atoms, deg, coefficients
 
 
-def _validate_formula(node: Formula, nvars: int):
-    if isinstance(node, Atom):
-        if node.op not in (">", ">="):
-            raise FormatError(f"unknown comparison {node.op!r}")
-        for coef, exps in node.poly:
+def _validate_formula(formula: Formula, nvars: int):
+    for at in _atoms(formula):
+        if at.op not in (">", ">="):
+            raise FormatError(f"unknown comparison {at.op!r}")
+        for coef, exps in at.poly:
             if isinstance(coef, bool) or not isinstance(coef, int):
                 raise FormatError("polynomial coefficients must be integers")
             if len(exps) != nvars + 3:
@@ -373,15 +380,6 @@ def _validate_formula(node: Formula, nvars: int):
             for e in exps:
                 if isinstance(e, bool) or not isinstance(e, int) or e < 0:
                     raise FormatError("exponents must be natural numbers")
-        return
-    if isinstance(node, (FAnd, FOr)):
-        for f in node.args:
-            _validate_formula(f, nvars)
-        return
-    if isinstance(node, FNot):
-        _validate_formula(node.arg, nvars)
-        return
-    raise FormatError(f"not a formula node: {node!r}")
 
 
 def formula_to_json(formula: Formula, nvars: int) -> dict:
@@ -596,11 +594,12 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     module exists to audit it.
 
     The witness is a one-variable cylindrical decomposition (Collins 1975):
-    for given (a, m, n) the atoms' real roots in b, exact at degree 1 and
-    isolated by Sturm sequences above, cut the b-line into open cells of
-    constant truth.  It returns the simplest dyadic of the first satisfied
-    cell in b order (O(log n) bits), else the first satisfying rational
-    root, else None; apply still certifies it through decide.
+    for given (a, m, n) the atoms' real roots in b cut the b-line into open
+    cells of constant truth.  The roots are exact when every atom is linear
+    in b there; otherwise Sturm sequences isolate all of them together.  It
+    returns the simplest dyadic of the first satisfied cell in b order
+    (O(log n) bits), else the first satisfying rational root, else None;
+    apply still certifies it through decide.
     """
     _validate_formula(formula, dim)
     atoms, deg, coefficients = _compile(formula, dim)

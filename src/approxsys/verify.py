@@ -6,7 +6,8 @@ offending quadruple and point and are always genuine relative to the oracle's
 accuracy contract.  When an inexact oracle cannot separate a distance from
 the bound, the verdict degrades to Inconclusive rather than guessing.
 Every audit raises DimensionError before any work on mismatched dimensions,
-and DomainError on a negative index or a sample count below 1.
+and DomainError on a negative index, budget or scan cap, or on a sample count
+below 1.
 """
 
 from __future__ import annotations
@@ -64,15 +65,6 @@ class Verdict:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _quad_dict(q: Quadruple) -> dict:
-    return {
-        "a": [str(c) for c in q.a],
-        "m": q.m,
-        "b": str(q.b),
-        "n": q.n,
-    }
 
 
 def _same_dim(left: str, left_dim: int, right: str, right_dim: int):
@@ -235,7 +227,7 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
                     samples=samples,
                     seed=seed,
                     witness={
-                        "quad": _quad_dict(quad),
+                        "quad": quad.to_json_dict(),
                         "xi": [str(c) for c in xi],
                         "oracle_value": str(approx),
                         "distance": str(abs(quad.b - approx)),
@@ -277,7 +269,7 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     _same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
-    _at_least(0, n=n)
+    _at_least(0, n=n, m_cap=m_cap, budget=budget)
     _at_least(1, a_samples=a_samples)
     rng = random.Random(seed)
     quarter = Fraction(1, 4 * (n + 1))
@@ -356,13 +348,15 @@ def verify_containment(sub: ApproxSystem, sup: ApproxSystem, count: int = 1000,
     Inconclusive.
     """
     _same_dim(f"system {sub.name}", sub.dim_in, f"system {sup.name}", sup.dim_in)
+    _at_least(0, budget=budget)
+    _at_least(1, count=count)
     quads = sub.members_prefix(count, scan_cap)
     for idx, q in enumerate(quads):
         if sup.membership(q, budget) is not Membership.YES:
             return Verdict(
                 Outcome.COUNTER_EXAMPLE if sup.decide is not None else Outcome.INCONCLUSIVE,
                 samples=idx + 1,
-                witness={"quad": _quad_dict(q)},
+                witness={"quad": q.to_json_dict()},
                 diagnostics=f"member #{idx} of {sub.name} not accepted by {sup.name}",
             )
     return Verdict(

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from approxsys import cli
-from approxsys.systems import FAnd, atom, formula_to_json, squaring_formula
+from approxsys.systems import (
+    FAnd,
+    atom,
+    formula_to_json,
+    maximal_division_system,
+    squaring_formula,
+)
+from approxsys.verify import cos_taylor
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +160,24 @@ def test_eval_compose_usage_errors(capsys):
     assert code == 1
 
 
+def test_eval_compose_innermost_system_of_any_dimension(capsys):
+    code, out, err = run(
+        capsys, "eval", "--compose", "cosine,division", "--point", "2,3",
+        "--prec-index", "20",
+    )
+    assert code == 0 and err == ""
+    value = F(out.splitlines()[0].removeprefix("value = "))
+    tol = F(1, 10**9)
+    assert abs(value - cos_taylor(F(2, 3), tol)) < F(1, 21) - tol
+    # outer systems stay unary; apply reports the mismatch before any search
+    code, out, err = run(
+        capsys, "eval", "--compose", "division,cosine", "--point", "1,3",
+        "--prec-index", "4",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: division: name of dimension 1, system expects 2\n"
+
+
 def test_env_default_budget(capsys, monkeypatch):
     # division at (0, 1), n = 0 certifies on its second probe: the witness 0
     # fails at input precision m = 0 and passes at m = 1
@@ -198,6 +223,16 @@ def test_enumerate_json(capsys):
     assert doc["system"] == "division"
     assert len(doc["members"]) == 3
     assert doc["members"][0] == {"a": ["0", "1"], "m": 1, "b": "0", "n": 0}
+
+
+def test_enumerate_json_lists_quadruple_records(capsys):
+    code, out, _ = run(
+        capsys, "enumerate", "--system", "maximal-division", "--count", "5",
+        "--output", "json",
+    )
+    assert code == 0
+    members = maximal_division_system().members_prefix(5)
+    assert json.loads(out)["members"] == [q.to_json_dict() for q in members]
 
 
 def test_enumerate_count_zero_and_negative(capsys):

@@ -11,7 +11,7 @@ from approxsys.core import (
     decode_quadruple,
     encode_quadruple,
 )
-from approxsys.errors import DimensionError
+from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
     cosine_system,
     division_system,
@@ -42,6 +42,11 @@ def test_quadruple_is_an_immutable_value():
     assert repr(q) == "Quadruple(a=(1, 3), m=1, b=1/3, n=2)"
     a, m, b, n = q
     assert (a, m, b, n) == (q.a, q.m, q.b, q.n)
+
+
+def test_quadruple_json_record():
+    q = Quadruple((F(1), F(-3, 2)), 4, F(1, 3), 2)
+    assert q.to_json_dict() == {"a": ["1", "-3/2"], "m": 4, "b": "1/3", "n": 2}
 
 
 @given(st.lists(rationals, min_size=1, max_size=2), small_nats, rationals, small_nats)
@@ -120,6 +125,19 @@ def test_members_prefix_honours_scan_cap_on_warm_cache(fresh):
     assert warm == cold
     assert len(cold) == 209
     assert all(encode_quadruple(q) < 2000 for q in cold)
+
+
+@pytest.mark.parametrize("count, scan_cap", [
+    (-1, None),  # unchecked, the whole cached prefix: 200 members here
+    (5, -4),  # unchecked, []
+    (-1, 10),
+])
+def test_members_prefix_rejects_negative_count_or_scan_cap(count, scan_cap):
+    div = division_system.__wrapped__()
+    div.members_prefix(200)
+    with pytest.raises(DomainError):
+        div.members_prefix(count, scan_cap)
+    assert div.members_prefix(0) == []
 
 
 def test_members_prefix_in_enumeration_order():

@@ -541,6 +541,14 @@ def test_semialgebraic_dimension_mismatch():
         semialgebraic_system(formula, 2)
 
 
+def test_semialgebraic_rejects_a_node_that_is_no_formula():
+    with pytest.raises(FormatError, match="not a formula node"):
+        semialgebraic_system(FAnd((atom(">", (1, (0, 1, 0, 0))), "junk")), 1)
+    # nodes are checked in walk order: the bad atom before the junk after it
+    with pytest.raises(FormatError, match="unknown comparison"):
+        semialgebraic_system(FAnd((Atom("<", ((1, (0, 1, 0, 0)),)), "junk")), 1)
+
+
 @pytest.mark.parametrize("coef", [F(1, 2), 1.0, True])
 def test_semialgebraic_rejects_non_integer_coefficient(coef):
     with pytest.raises(FormatError):

@@ -361,6 +361,12 @@ def test_maximal_not_contained_in_division():
     assert v.outcome is Outcome.COUNTER_EXAMPLE
 
 
+def test_containment_counterexample_carries_the_quadruple_record():
+    v = verify_containment(maximal_division_system(), division_system(), count=300)
+    missing = maximal_division_system().members_prefix(v.samples)[-1]
+    assert v.witness == {"quad": missing.to_json_dict()}
+
+
 class _EnumerableDivision(ApproxSystem):
     dim_in = 2
     name = "division-enumerable"
@@ -483,6 +489,37 @@ def test_brute_force_rejects_meaningless_arguments(m, n, grid):
     with pytest.raises(DomainError):
         brute_force_condition1_check((F(1), F(3)), m, F(1, 3), n, oracle, grid=grid)
     assert asked == []
+
+
+def test_condition1_rejects_negative_scan_cap():
+    counting, calls = _counting_system(2)
+    with pytest.raises(DomainError):  # unchecked, a pass on 0 quadruples
+        verify_condition1(counting, division_oracle(), scan_cap=-1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"m_cap": -1},  # unchecked, inconclusive on 0 samples
+    {"budget": -1},  # unchecked, a pass
+])
+def test_condition2_rejects_negative_cap_or_budget(kwargs):
+    counting, calls = _counting_system(2)
+    with pytest.raises(DomainError):
+        verify_condition2(counting, division_oracle(), (F(1), F(3)), 4, **kwargs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"count": 0},  # unchecked, a pass on 0 samples
+    {"count": -5},  # unchecked, a pass on 0 samples
+    {"budget": -3},  # unchecked, a pass
+    {"scan_cap": -1},  # unchecked, a pass on 0 samples
+])
+def test_containment_rejects_meaningless_arguments(kwargs):
+    counting, calls = _counting_system(2)
+    with pytest.raises(DomainError):
+        verify_containment(counting, division_system(), **{"count": 20, **kwargs})
+    assert calls == []
 
 
 # --- verdict plumbing -------------------------------------------------------------------
