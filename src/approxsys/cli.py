@@ -291,10 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: each parse_args call fills a fresh namespace, so
+# one parser serves every main call.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for timeouts here
         return _EXIT_OK if exc.code == 0 else _EXIT_USAGE

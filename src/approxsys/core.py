@@ -16,12 +16,13 @@ This module fixes the computational interface only: systems expose a total
 
 from __future__ import annotations
 
+import itertools
 import threading
 from array import array
 from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError
 from .numerics import (
@@ -81,9 +82,11 @@ def decode_quadruple(k: int, dim: int) -> Quadruple:
 def _decode_tail(rest: int) -> Tuple[int, Rat, int]:
     """(m, b, n) from the tail C(m, C(j, n)) of a quadruple code.
 
-    Memoised like decode_point: the tail code grows only like the square
-    root of the quadruple code (about 460 distinct tails among the first
-    10^5 codes).
+    Memoised like decode_point, for decode_quadruple's random access and the
+    evaluator's dovetail: the tail code grows only like the square root of
+    the quadruple code (about 460 distinct tails among the first 10^5
+    codes).  Prefix scans decode each tail once per diagonal instead
+    (DecidableSystem._walk).
     """
     m, rest = cantor_split(rest)
     j, n = cantor_split(rest)
@@ -152,6 +155,10 @@ class ApproxSystem:
         """
         return None
 
+    def _walk(self, start: int) -> Iterator[Optional[Quadruple]]:
+        """enumerate(k) for k = start, start+1, ...: the scan of members_prefix."""
+        return map(self.enumerate, itertools.count(start))
+
     def members_prefix(self, count: int, scan_cap: Optional[int] = None) -> List[Quadruple]:
         """First `count` members in enumeration order.
 
@@ -167,13 +174,18 @@ class ApproxSystem:
         if scan_cap is None:
             scan_cap = _DEFAULT_CAP_PER_MEMBER * count + _DEFAULT_CAP_FLOOR
         with self._prefix_lock:
-            while len(self._prefix) < count and self._scanned < scan_cap:
-                k = self._scanned
-                q = self.enumerate(k)
-                if q is not None:
-                    self._codes.append(k)
-                    self._prefix.append(q)
-                self._scanned = k + 1
+            k = self._scanned
+            if len(self._prefix) < count and k < scan_cap:
+                try:
+                    for q in self._walk(k):
+                        if q is not None:
+                            self._codes.append(k)
+                            self._prefix.append(q)
+                        k += 1
+                        if k == scan_cap or len(self._prefix) == count:
+                            break
+                finally:
+                    self._scanned = k
             end = bisect_left(self._codes, scan_cap, 0, min(count, len(self._codes)))
             return self._prefix[:end]
 
@@ -212,6 +224,29 @@ class DecidableSystem(ApproxSystem):
     def enumerate(self, k: int) -> Optional[Quadruple]:
         q = decode_quadruple(k, self.dim_in)
         return q if self.decide(q) else None
+
+    def _walk(self, start: int) -> Iterator[Optional[Quadruple]]:
+        """enumerate(k) for k >= start, one Cantor diagonal at a time.
+
+        Code k = C(i, r) lies on diagonal t = i + r at position r, and the
+        diagonal pairs point codes t..0 with tails 0..t.  So each diagonal
+        decodes one new point and one new tail into two growing lists, and
+        every quadruple is built from their entries.  decide is looked up
+        once, here, and called once per code, in code order.
+        """
+        decide, dim = self.decide, self.dim_in
+        i, r = cantor_split(start)
+        t = i + r
+        points = [decode_point(j, dim) for j in range(t + 1)]
+        tails = [_decode_tail(j) for j in range(t + 1)]
+        while True:
+            for a, (m, b, n) in zip(points[i::-1], tails[r:]):
+                q = Quadruple(a, m, b, n)
+                yield q if decide(q) else None
+            t += 1
+            i, r = t, 0
+            points.append(decode_point(t, dim))
+            tails.append(_decode_tail(t))
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         self._check_dim(a)

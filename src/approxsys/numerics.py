@@ -145,10 +145,11 @@ def encode_rat(x: Rat) -> int:
     return encode_tuple((max(p, 0), max(-p, 0), q - 1))
 
 
-# Decoded values are immutable and enumeration scans decode the same few
-# point and rational codes over and over (about 460 distinct point codes
-# in the scan for the first 10^4 division members), so both decoders are
-# memoised, boundedly.
+# Decoded values are immutable, and decode_quadruple's random access and the
+# evaluator's dovetail decode the same few point and rational codes over and
+# over, so both decoders are memoised, boundedly.  A prefix scan decodes
+# each point code once per Cantor diagonal (DecidableSystem._walk), about
+# 460 of them for the first 10^4 division members.
 _DECODE_CACHE = 1 << 12
 
 

@@ -90,10 +90,10 @@ def cos_taylor(x: Rat, err: Rat) -> Rat:
     up to i is total/D and the next term is s^(i+1)/(D c) for
     c = t (2i+1)(2i+2).
     """
-    if err <= 0:
+    en, ed = err.numerator, err.denominator
+    if en <= 0:
         raise DomainError("cos_taylor needs a positive error bound")
     s, t = x.numerator ** 2, x.denominator ** 2
-    en, ed = err.numerator, err.denominator
     total = scale = power = 1
     i = 0
     while True:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from fractions import Fraction as F
@@ -439,6 +440,36 @@ def test_argparse_exits(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eval", "--output", "yaml"]) == 1
     capsys.readouterr()
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli.main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, _ = run(capsys, "enumerate", "--system", "division", "--count", "3")
+    assert code == 0 and out.startswith("#0: ")
+    code, out, _ = run(capsys, "verify", "--system", "division", "--quads", "5",
+                       "--xi-per-quad", "2")
+    assert code == 0 and "condition1: outcome = pass" in out
+
+
+def test_consecutive_calls_share_no_options(capsys):
+    verify = ["verify", "--system", "division", "--quads", "10", "--xi-per-quad", "2"]
+    code, out, _ = run(capsys, *verify, "--cond2-xi", "1,3")
+    assert code == 0 and "condition2" in out
+    code, out, _ = run(capsys, *verify)
+    assert code == 0 and "condition1" in out and "condition2" not in out
+
+    enum = ["enumerate", "--system", "division", "--count", "3"]
+    code, out, _ = run(capsys, *enum, "--output", "json")
+    assert code == 0 and json.loads(out)["system"] == "division"
+    code, plain, _ = run(capsys, *enum)
+    assert code == 0 and plain.splitlines()[0].startswith("#0: a=(")
+
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "enumerate", "--help")[0] == 0
+    assert run(capsys, *enum) == (0, plain, "")
 
 
 # --- README transcript ------------------------------------------------------------

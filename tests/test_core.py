@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from approxsys.core import (
     ApproxSystem,
@@ -12,10 +14,14 @@ from approxsys.core import (
     encode_quadruple,
 )
 from approxsys.errors import DimensionError, DomainError
+from approxsys.numerics import cantor_join
 from approxsys.systems import (
+    FAnd,
+    atom,
     cosine_system,
     division_system,
     maximal_division_system,
+    semialgebraic_system,
     squaring_system,
 )
 
@@ -206,3 +212,99 @@ def test_members_prefix_scans_only_to_the_count_th_member():
     assert calls == 57 + 41  # resumed at code 57, not rescanned
     div.members_prefix(5)
     assert calls == 98  # served from the cache
+
+
+# --- the diagonal walk ----------------------------------------------------------------
+
+
+def _three_dim_system():
+    return DecidableSystem(lambda q: q.a[0] + q.a[1] * q.a[2] <= q.b + q.m - q.n, 3, name="3d")
+
+
+def _sum_formula_system():
+    # |b - (a1 + a2)| <= u + v over (a1, a2, b, u, v)
+    A1, A2, B, U, V = (tuple(int(j == i) for j in range(5)) for i in range(5))
+    return semialgebraic_system(FAnd((
+        atom(">=", (1, U), (1, V), (-1, B), (1, A1), (1, A2)),
+        atom(">=", (1, U), (1, V), (1, B), (-1, A1), (-1, A2)),
+    )), 2, name="sum")
+
+
+WALKED = {
+    "division": division_system.__wrapped__,
+    "maximal-division": maximal_division_system.__wrapped__,
+    "cosine": cosine_system.__wrapped__,
+    "square": squaring_system.__wrapped__,
+    "3d": _three_dim_system,
+    "sum-formula": _sum_formula_system,
+}
+HORIZON = 4000  # reference scans cover the codes below this
+MAX_DIAGONAL = 85  # every code on diagonals up to here is below HORIZON
+
+
+@lru_cache(maxsize=None)
+def _reference_scan(name):
+    """(code, member) below HORIZON: decode_quadruple, then decide, from code 0."""
+    system = WALKED[name]()
+    return [(k, q) for k in range(HORIZON)
+            if system.decide(q := decode_quadruple(k, system.dim_in))]
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+@settings(max_examples=30, deadline=None)
+@given(
+    c1=st.integers(0, 60),
+    c2=st.integers(0, 120),
+    # scan_cap at position r >= 1 of diagonal t, i.e. mid-diagonal, or the default
+    cap_at=st.none() | st.integers(1, MAX_DIAGONAL).flatmap(
+        lambda t: st.tuples(st.just(t), st.integers(1, t))),
+)
+@example(c1=5, c2=10, cap_at=None)  # resumes at code 57 = C(8, 2), mid-diagonal
+@example(c1=5, c2=120, cap_at=(60, 30))
+def test_resumed_members_prefix_equals_reference_scan(name, c1, c2, cap_at):
+    reference = _reference_scan(name)
+    assert len(reference) >= 120  # so that no request scans past HORIZON
+    system = WALKED[name]()
+    assert system.members_prefix(c1) == [q for _, q in reference[:c1]]
+    scan_cap = None if cap_at is None else cantor_join(cap_at[0] - cap_at[1], cap_at[1])
+    below = reference if scan_cap is None else [(k, q) for k, q in reference if k < scan_cap]
+    assert system.members_prefix(c2, scan_cap) == [q for _, q in below[:c2]]
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+@pytest.mark.parametrize("start", [0, 1, 2, 5, 56, 57, 1000])
+def test_walk_equals_enumerate_from_any_start(name, start):
+    system = WALKED[name]()
+    walked = list(islice(system._walk(start), 200))
+    assert walked == [system.enumerate(j) for j in range(start, start + 200)]
+
+
+def test_members_prefix_decides_once_per_code_scanned():
+    div = division_system.__wrapped__()
+    decide, seen = div.decide, []
+    div.decide = lambda q: seen.append(q) or decide(q)  # as a tracer patches it
+    members = div.members_prefix(10**4)
+    assert len(members) == 10**4
+    assert len(seen) == div._scanned == div._codes[-1] + 1
+    assert all(q == decode_quadruple(k, 2) for k, q in enumerate(seen))
+    assert div.members_prefix(50, scan_cap=990) == members[:50]
+    scan_cap = div._scanned + 12_345  # reached before the 2 * 10^4-th member
+    div.members_prefix(2 * 10**4, scan_cap)
+    assert len(seen) == div._scanned == scan_cap
+
+
+def test_members_prefix_resumes_at_the_code_whose_decide_raised():
+    calls = 0
+
+    def flaky_decide(q):
+        nonlocal calls
+        calls += 1
+        if calls == 31:
+            raise DomainError("flaky predicate")
+        return division_system().decide(q)
+
+    div = DecidableSystem(flaky_decide, 2)
+    with pytest.raises(DomainError):
+        div.members_prefix(10)
+    assert div._scanned == 30  # code 30 is decided again
+    assert div.members_prefix(10) == division_system().members_prefix(10)

@@ -67,10 +67,10 @@ def test_cos_taylor_frozen():
 
 
 def test_cos_taylor_rejects_bad_error():
-    with pytest.raises(DomainError):
-        cos_taylor(F(1), F(0))
-    with pytest.raises(DomainError):
-        cos_taylor(F(1), F(-1, 2))
+    for x in (F(0), F(1), F(-7, 3)):
+        for err in (F(0), 0, F(-1, 2), F(-1, 10**30), -3):
+            with pytest.raises(DomainError):
+                cos_taylor(x, err)
 
 
 def test_cos_taylor_matches_float_cosine():
