@@ -16,12 +16,13 @@ This module fixes the computational interface only: systems expose a total
 
 from __future__ import annotations
 
-import itertools
 import threading
 from array import array
 from bisect import bisect_left
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import compress, islice
+from operator import itemgetter, length_hint
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError
@@ -117,6 +118,7 @@ class ApproxSystem:
         self._prefix: List[Quadruple] = []
         self._codes = array("q")
         self._scanned = 0
+        self._feed = (0, iter(()))  # see _walk
         self._prefix_lock = threading.Lock()
 
     def _check_dim(self, a: Point):
@@ -155,9 +157,18 @@ class ApproxSystem:
         """
         return None
 
-    def _walk(self, start: int) -> Iterator[Optional[Quadruple]]:
-        """enumerate(k) for k = start, start+1, ...: the scan of members_prefix."""
-        return map(self.enumerate, itertools.count(start))
+    def _walk(self, start: int, stop: int) -> Iterator[Tuple[int, Quadruple]]:
+        """(code, member) for the members among codes start..stop-1, in code order.
+
+        The scan of members_prefix.  Every walk calls its predicate (here
+        enumerate, decide in DecidableSystem) once per code, in code order,
+        on the codes of an iterator `fed`, and keeps `(end, fed)` in
+        self._feed, so that while the call on code k runs,
+        k = end - 1 - length_hint(fed).
+        """
+        fed = iter(range(start, stop))
+        self._feed = (stop, fed)
+        return filter(itemgetter(1), zip(range(start, stop), map(self.enumerate, fed)))
 
     def members_prefix(self, count: int, scan_cap: Optional[int] = None) -> List[Quadruple]:
         """First `count` members in enumeration order.
@@ -168,26 +179,30 @@ class ApproxSystem:
         and later requests resume where it stopped; members cached from
         beyond scan_cap are left out, so the result does not depend on
         earlier requests.  DomainError on a negative count or scan_cap.
+
+        The loop below runs once per member found; the walk (_walk) does
+        the per-code work.  When the predicate raises, the scan resumes at
+        the code it raised on, read from the walk's self._feed, and never
+        before the last member listed.
         """
         if count < 0 or (scan_cap is not None and scan_cap < 0):
             raise DomainError(f"count {count} and scan_cap {scan_cap} must be natural numbers")
         if scan_cap is None:
             scan_cap = _DEFAULT_CAP_PER_MEMBER * count + _DEFAULT_CAP_FLOOR
         with self._prefix_lock:
-            k = self._scanned
-            if len(self._prefix) < count and k < scan_cap:
+            codes, prefix = self._codes, self._prefix
+            if len(prefix) < count and self._scanned < scan_cap:
                 try:
-                    for q in self._walk(k):
-                        if q is not None:
-                            self._codes.append(k)
-                            self._prefix.append(q)
-                        k += 1
-                        if k == scan_cap or len(self._prefix) == count:
-                            break
-                finally:
-                    self._scanned = k
-            end = bisect_left(self._codes, scan_cap, 0, min(count, len(self._codes)))
-            return self._prefix[:end]
+                    for code, q in islice(self._walk(self._scanned, scan_cap), count - len(prefix)):
+                        codes.append(code)
+                        prefix.append(q)
+                except BaseException:
+                    end, fed = self._feed
+                    self._scanned = max(end - 1 - length_hint(fed), codes[-1] + 1 if codes else 0)
+                    raise
+                self._scanned = codes[-1] + 1 if len(prefix) == count else scan_cap
+            end = bisect_left(codes, scan_cap, 0, min(count, len(codes)))
+            return prefix[:end]
 
 
 class DecidableSystem(ApproxSystem):
@@ -225,28 +240,41 @@ class DecidableSystem(ApproxSystem):
         q = decode_quadruple(k, self.dim_in)
         return q if self.decide(q) else None
 
-    def _walk(self, start: int) -> Iterator[Optional[Quadruple]]:
-        """enumerate(k) for k >= start, one Cantor diagonal at a time.
+    def _walk(self, start: int, stop: int) -> Iterator[Tuple[int, Quadruple]]:
+        """ApproxSystem._walk's pairs, one Cantor diagonal at a time.
 
         Code k = C(i, r) lies on diagonal t = i + r at position r, and the
         diagonal pairs point codes t..0 with tails 0..t.  So each diagonal
-        decodes one new point and one new tail into two growing lists, and
-        every quadruple is built from their entries.  decide is looked up
-        once, here, and called once per code, in code order.
+        decodes one new point and one new tail into growing lists, and the
+        quadruples of a diagonal's codes below stop are built from their
+        entries in one pass, as one list `quads`.  compress keeps the members
+        by map(decide, fed) over fed = iter(quads): decide is looked up once,
+        here, and called once per code, in code order, and never past the
+        member the caller stops at.  No other per-code work runs in Python.
         """
         decide, dim = self.decide, self.dim_in
+        make = partial(tuple.__new__, Quadruple)
         i, r = cantor_split(start)
         t = i + r
         points = [decode_point(j, dim) for j in range(t + 1)]
-        tails = [_decode_tail(j) for j in range(t + 1)]
-        while True:
-            for a, (m, b, n) in zip(points[i::-1], tails[r:]):
-                q = Quadruple(a, m, b, n)
-                yield q if decide(q) else None
+        ms, bs, ns = map(list, zip(*map(_decode_tail, range(t + 1))))
+        k = start
+        while k < stop:
+            # codes k..end-1 sit at positions r..last-1 of diagonal t
+            end = min(stop, k + t + 1 - r)
+            last = r + end - k
+            quads = list(map(make, zip(points[i::-1], ms[r:last], bs[r:last], ns[r:last])))
+            fed = iter(quads)
+            self._feed = (end, fed)
+            yield from compress(zip(range(k, end), quads), map(decide, fed))
+            k = end
             t += 1
             i, r = t, 0
             points.append(decode_point(t, dim))
-            tails.append(_decode_tail(t))
+            m, b, n = _decode_tail(t)
+            ms.append(m)
+            bs.append(b)
+            ns.append(n)
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         self._check_dim(a)

@@ -30,9 +30,9 @@ def _division_decide(q: Quadruple) -> bool:
     # denominators of a1 = p1/q1, a2 = p2/q2, b = pb/qb, so they run on
     # integers.
     a1, a2 = q.a
-    p1, q1 = a1.numerator, a1.denominator
-    p2, q2 = a2.numerator, a2.denominator
-    pb, qb = q.b.numerator, q.b.denominator
+    p1, q1 = a1.as_integer_ratio()
+    p2, q2 = a2.as_integer_ratio()
+    pb, qb = q.b.as_integer_ratio()
     if p2 * pb * q1 != p1 * q2 * qb:
         return False
     return (q.m + 1) * abs(p2) * qb >= q2 * (qb + (q.n + 1) * (abs(pb) + qb))
@@ -69,9 +69,9 @@ def _maximal_division_decide(q: Quadruple) -> bool:
     # |x/y - b| <= 1/N is tested multiplied by N qb |y| > 0, on integers:
     # N |x qb - pb y| <= qb |y|.
     a1, a2 = q.a
-    p1, q1 = a1.numerator, a1.denominator
-    p2, q2 = a2.numerator, a2.denominator
-    pb, qb = q.b.numerator, q.b.denominator
+    p1, q1 = a1.as_integer_ratio()
+    p2, q2 = a2.as_integer_ratio()
+    pb, qb = q.b.as_integer_ratio()
     M, N = q.m + 1, q.n + 1
     if M * abs(p2) <= q2:
         return False
@@ -93,8 +93,8 @@ def _maximal_division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
     # x/y- >= x/y+ iff x >= 0, which picks the greatest corner of the
     # e1 = 1 pair and the least of the e1 = -1 pair.
     a1, a2 = a
-    p1, q1 = a1.numerator, a1.denominator
-    p2, q2 = a2.numerator, a2.denominator
+    p1, q1 = a1.as_integer_ratio()
+    p2, q2 = a2.as_integer_ratio()
     M = m + 1
     if M * abs(p2) <= q2:
         return None
@@ -350,7 +350,7 @@ def _compile(formula: Formula, dim: int):
                  for at in atoms]
 
     def coefficients(a: Point, m: int, n: int) -> List[List[int]]:
-        fracs = [(x.numerator, x.denominator) for x in a] + [(1, m + 1), (1, n + 1)]
+        fracs = [x.as_integer_ratio() for x in a] + [(1, m + 1), (1, n + 1)]
         pows = [num ** e * den ** (t - e) for (num, den), t in zip(fracs, top) for e in range(t + 1)]
         rows = []
         for monos in monomials:
@@ -606,7 +606,7 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     row_of = {id(at): i for i, at in enumerate(atoms)}
 
     def decide(q: Quadruple) -> bool:
-        pb, qb = q.b.numerator, q.b.denominator
+        pb, qb = q.b.as_integer_ratio()
         bpows = [pb ** e * qb ** (deg - e) for e in range(deg + 1)]
         rows = coefficients(q.a, q.m, q.n)
         return _holds(formula, lambda at: _sign_holds(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product
 from typing import Callable, List, Optional
 
 from .core import ApproxSystem, Membership, Quadruple
@@ -148,42 +148,34 @@ def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
     Starts with the center itself and near-boundary corners at per-axis
     distance 1/(m+1) - 1/(m+1)^2, then corner-biased random points: random
     offsets alternate between uniform and boundary-hugging magnitudes, which
-    is where soundness violations concentrate.
+    is where soundness violations concentrate.  The special points are
+    built lazily, up to the count-th one kept, and rng is drawn from only
+    when they run out.
     """
     M = m + 1
-    dim = len(center)
+    ratios = [c.as_integer_ratio() for c in center]
 
     # A corner coordinate c +- (M - 1)/M^2 and a random one c +- (j/2^24)/M,
     # for c = cn/cd, are each built as one Fraction over cd M^2 or cd 2^24 M.
-    specials: List[Point] = [center]
-    for signs in product((1, -1), repeat=dim):
-        specials.append(tuple(Fraction(c.numerator * M * M + s * (M - 1) * c.denominator,
-                                       c.denominator * M * M)
-                              for c, s in zip(center, signs)))
-        if len(specials) > 8:
-            break
-
-    out: List[Point] = []
-    for p in specials:
-        if len(out) >= count:
-            return out
-        if domain_test is None or domain_test(p):
-            out.append(p)
+    corners = (tuple(Fraction(cn * M * M + s * (M - 1) * cd, cd * M * M)
+                     for (cn, cd), s in zip(ratios, signs))
+               for signs in product((1, -1), repeat=len(center)))
+    specials = chain((center,), islice(corners, 8))
+    out = list(islice(specials if domain_test is None else filter(domain_test, specials), count))
 
     scale = _RAND_DENOM * M
     attempts = 0
     while len(out) < count and attempts < 64 * count + 64:
         attempts += 1
         coords = []
-        for c in center:
+        for cn, cd in ratios:
             if attempts % 2:
                 j = rng.randrange(_RAND_DENOM)
             else:
                 j = _RAND_DENOM - rng.randrange(1, 1 << 12)
             if not rng.randrange(2):
                 j = -j
-            coords.append(Fraction(c.numerator * scale + j * c.denominator,
-                                   c.denominator * scale))
+            coords.append(Fraction(cn * scale + j * cd, cd * scale))
         p = tuple(coords)
         if domain_test is None or domain_test(p):
             out.append(p)
@@ -215,11 +207,11 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
         N = quad.n + 1
         en, ed = (0, 1) if oracle.exact else (1, 10 * N * N)
         eps = Fraction(en, ed)
-        pb, qb = quad.b.numerator, quad.b.denominator
+        pb, qb = quad.b.as_integer_ratio()
         for xi in _sample_ball(quad.a, quad.m, xi_samples, rng, oracle.domain_test):
             samples += 1
             approx = oracle.eval(xi, eps)
-            pa, qa = approx.numerator, approx.denominator
+            pa, qa = approx.as_integer_ratio()
             gap = abs(pb * qa - pa * qb) * N * ed
             if gap >= qb * qa * (ed + N * en):
                 return Verdict(

@@ -1,6 +1,5 @@
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +13,7 @@ from approxsys.core import (
     encode_quadruple,
 )
 from approxsys.errors import DimensionError, DomainError
-from approxsys.numerics import cantor_join
+from approxsys.numerics import cantor_join, cantor_split
 from approxsys.systems import (
     FAnd,
     atom,
@@ -275,8 +274,13 @@ def test_resumed_members_prefix_equals_reference_scan(name, c1, c2, cap_at):
 @pytest.mark.parametrize("start", [0, 1, 2, 5, 56, 57, 1000])
 def test_walk_equals_enumerate_from_any_start(name, start):
     system = WALKED[name]()
-    walked = list(islice(system._walk(start), 200))
-    assert walked == [system.enumerate(j) for j in range(start, start + 200)]
+    i, r = cantor_split(start + 200)
+    t = i + r
+    # stop equal to start, mid-diagonal, at diagonal t's last code and just past it
+    for stop in (start, cantor_join(t - t // 2, t // 2), cantor_join(0, t), cantor_join(0, t) + 1):
+        members = [(k, q) for k in range(start, stop) if (q := system.enumerate(k)) is not None]
+        assert list(system._walk(start, stop)) == members
+        assert list(ApproxSystem._walk(system, start, stop)) == members
 
 
 def test_members_prefix_decides_once_per_code_scanned():
@@ -294,17 +298,24 @@ def test_members_prefix_decides_once_per_code_scanned():
 
 
 def test_members_prefix_resumes_at_the_code_whose_decide_raised():
-    calls = 0
+    for code in (30, 28, 35):  # mid-diagonal 7, its first code, its last code
+        calls, fail_at = 0, {code + 1}  # from code 0, call k + 1 decides code k
 
-    def flaky_decide(q):
-        nonlocal calls
-        calls += 1
-        if calls == 31:
-            raise DomainError("flaky predicate")
-        return division_system().decide(q)
+        def flaky_decide(q):
+            nonlocal calls
+            calls += 1
+            if calls in fail_at:
+                raise DomainError("flaky predicate")
+            return division_system().decide(q)
 
-    div = DecidableSystem(flaky_decide, 2)
-    with pytest.raises(DomainError):
-        div.members_prefix(10)
-    assert div._scanned == 30  # code 30 is decided again
-    assert div.members_prefix(10) == division_system().members_prefix(10)
+        div = DecidableSystem(flaky_decide, 2)
+        with pytest.raises(DomainError):
+            div.members_prefix(10)
+        assert div._scanned == code  # code is decided again
+        assert div.members_prefix(10) == division_system().members_prefix(10)
+        resumed = div._scanned  # the first code after a resume raises
+        fail_at.add(calls + 1)
+        with pytest.raises(DomainError):
+            div.members_prefix(20)
+        assert div._scanned == resumed
+        assert div.members_prefix(20) == division_system().members_prefix(20)

@@ -138,6 +138,19 @@ def test_sample_ball_frozen():
     ]
 
 
+def test_sample_ball_takes_its_first_points_from_the_specials_without_drawing():
+    edge = F(1, 5) - F(1, 25)  # at m = 4
+    # the second center lies outside division's domain, its corners do not
+    for center, test in (((F(1, 3), F(-2, 7)), None), ((F(1), F(0)), division_oracle().domain_test)):
+        corners = [(center[0] + s1 * edge, center[1] + s2 * edge) for s1 in (1, -1) for s2 in (1, -1)]
+        specials = corners if test else [center, *corners]
+        for count in range(1, len(specials) + 1):
+            rng = random.Random(3)
+            state = rng.getstate()
+            assert _sample_ball(center, 4, count, rng, test) == specials[:count]
+            assert rng.getstate() == state
+
+
 def test_sample_ball_deterministic():
     a = _sample_ball((F(1),), 4, 9, random.Random(11), None)
     b = _sample_ball((F(1),), 4, 9, random.Random(11), None)
