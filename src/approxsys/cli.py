@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -295,10 +296,31 @@ def _build_parser() -> argparse.ArgumentParser:
 # one parser serves every main call.
 _PARSER = _build_parser()
 
+# The options whose value is a rational or a point, which may start with "-".
+_SIGNED_OPTIONS = ("--point", "--eps", "--cond2-xi")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _glue_signed_values(argv: List[str]) -> List[str]:
+    """Rewrite `--point -1/2` as `--point=-1/2`.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number such as -3 or -0.25, so `-1/2` or `-1,3` would
+    leave the option before it without a value.  No option of this CLI
+    starts with "-" and a digit or a dot.
+    """
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_glue_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for timeouts here
         return _EXIT_OK if exc.code == 0 else _EXIT_USAGE

@@ -209,8 +209,11 @@ class DecidableSystem(ApproxSystem):
     """System given by a total membership predicate.
 
     enumerate(k) decodes k to a quadruple and keeps it iff decide accepts;
-    dovetailing over all of N therefore lists exactly the members.  decide
-    and witness raise DimensionError on a point of another dimension.
+    dovetailing over all of N therefore lists exactly the members.  decide,
+    witness and membership raise DimensionError on a point of another
+    dimension.  membership checks it once and the prefix scan, which
+    decodes only points of dimension dim_in, not at all: both then call the
+    bare predicate (see _predicate).
     """
 
     def __init__(
@@ -232,13 +235,30 @@ class DecidableSystem(ApproxSystem):
                 self._check_dim(q.a)
             return decide(q)
 
-        self.decide = checked
+        self.decide = self._checked = checked
+        self._bare = decide
         self._witness = witness
         self.provides_witness = witness is not None
+
+    def _predicate(self) -> Callable[[Quadruple], bool]:
+        """decide, for a quadruple whose point is known to have dimension dim_in.
+
+        The bare predicate while `decide` is still the dimension-checking
+        wrapper built above, so a caller that has checked the dimension
+        does not pay for a second check.  A `decide` replaced on the
+        instance (a tracer, say) is returned itself and sees every call.
+        """
+        decide = self.decide
+        return self._bare if decide is self._checked else decide
 
     def enumerate(self, k: int) -> Optional[Quadruple]:
         q = decode_quadruple(k, self.dim_in)
         return q if self.decide(q) else None
+
+    def membership(self, quad: Quadruple, budget: int) -> Membership:
+        """decide's verdict, YES or NOT_YET, whatever the budget."""
+        self._check_dim(quad.a)
+        return Membership.YES if self._predicate()(quad) else Membership.NOT_YET
 
     def _walk(self, start: int, stop: int) -> Iterator[Tuple[int, Quadruple]]:
         """ApproxSystem._walk's pairs, one Cantor diagonal at a time.
@@ -249,10 +269,11 @@ class DecidableSystem(ApproxSystem):
         quadruples of a diagonal's codes below stop are built from their
         entries in one pass, as one list `quads`.  compress keeps the members
         by map(decide, fed) over fed = iter(quads): decide is looked up once,
-        here, and called once per code, in code order, and never past the
+        here, as the bare predicate (every point decoded has dimension
+        dim_in), and called once per code, in code order, and never past the
         member the caller stops at.  No other per-code work runs in Python.
         """
-        decide, dim = self.decide, self.dim_in
+        decide, dim = self._predicate(), self.dim_in
         make = partial(tuple.__new__, Quadruple)
         i, r = cantor_split(start)
         t = i + r

@@ -2,8 +2,10 @@
 
 An *ordinary* name f of xi satisfies dist(f(i), xi) < 1/(i+1) for every i.
 A *Cauchy* name h satisfies dist(h(i), h(k)) <= 2^-i for all i < k (so its
-limit is within 2^-i of h(i)).  Both kinds memoize: each index is computed
-at most once, and concurrent readers observe one consistent value per index.
+limit is within 2^-i of h(i)).  A name computed from a function memoizes:
+each index is computed at most once, and concurrent readers observe one
+consistent value per index.  A constant name (`name_of_point`) holds its
+one point and has nothing to compute or memoize.
 
 Nothing here can check that a name is genuine; consumers stay correct on
 valid names and merely budget-bounded on invalid ones.
@@ -53,10 +55,22 @@ class CauchyName(_MemoSeq):
     """Name with the 2^-i modulus contract."""
 
 
+class _ConstantName(OrdinaryName):
+    """Ordinary name whose every index carries the same exact point."""
+
+    def __init__(self, point: Point):
+        self.dim = len(point)
+        self._point = point
+
+    def approx(self, i: int) -> Point:
+        if i < 0:
+            raise IndexError("name indices are natural numbers")
+        return self._point
+
+
 def name_of_point(p) -> OrdinaryName:
     """The constant name of an exactly known rational point."""
-    point = as_point(p)
-    return OrdinaryName(lambda i: point, dim=len(point))
+    return _ConstantName(as_point(p))
 
 
 def dyadic_name(p) -> OrdinaryName:

@@ -54,7 +54,12 @@ def as_rat(value: RatLike) -> Rat:
 
 
 def as_point(value: Union[Point, Sequence[RatLike], RatLike]) -> Point:
-    """Coerce a scalar or a sequence of rational literals to a point."""
+    """Coerce a scalar or a sequence of rational literals to a point.
+
+    A tuple of Fractions already is a point and comes back as it is.
+    """
+    if type(value) is tuple and all(isinstance(c, Fraction) for c in value):
+        return value
     if isinstance(value, (Fraction, int, str)):
         return (as_rat(value),)
     return tuple(as_rat(c) for c in value)

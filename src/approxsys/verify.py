@@ -90,10 +90,11 @@ def cos_taylor(x: Rat, err: Rat) -> Rat:
     up to i is total/D and the next term is s^(i+1)/(D c) for
     c = t (2i+1)(2i+2).
     """
-    en, ed = err.numerator, err.denominator
+    en, ed = err.as_integer_ratio()
     if en <= 0:
         raise DomainError("cos_taylor needs a positive error bound")
-    s, t = x.numerator ** 2, x.denominator ** 2
+    xn, xd = x.as_integer_ratio()
+    s, t = xn * xn, xd * xd
     total = scale = power = 1
     i = 0
     while True:
@@ -146,11 +147,12 @@ def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
     """Up to `count` rational points strictly inside the 1/(m+1) ball.
 
     Starts with the center itself and near-boundary corners at per-axis
-    distance 1/(m+1) - 1/(m+1)^2, then corner-biased random points: random
-    offsets alternate between uniform and boundary-hugging magnitudes, which
-    is where soundness violations concentrate.  The special points are
-    built lazily, up to the count-th one kept, and rng is drawn from only
-    when they run out.
+    distance 1/(m+1) - 1/(m+1)^2 (none at m = 0, where that distance is 0
+    and every corner is the center), then corner-biased random points:
+    random offsets alternate between uniform and boundary-hugging
+    magnitudes, which is where soundness violations concentrate.  The
+    special points are built lazily, up to the count-th one kept, and rng
+    is drawn from only when they run out.
     """
     M = m + 1
     ratios = [c.as_integer_ratio() for c in center]
@@ -160,7 +162,7 @@ def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
     corners = (tuple(Fraction(cn * M * M + s * (M - 1) * cd, cd * M * M)
                      for (cn, cd), s in zip(ratios, signs))
                for signs in product((1, -1), repeat=len(center)))
-    specials = chain((center,), islice(corners, 8))
+    specials = chain((center,), islice(corners, 8 if m else 0))
     out = list(islice(specials if domain_test is None else filter(domain_test, specials), count))
 
     scale = _RAND_DENOM * M

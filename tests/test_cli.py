@@ -122,6 +122,21 @@ def test_eval_usage_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_signed_rationals_follow_their_option_after_a_space(capsys):
+    code, out, err = run(capsys, "eval", "--system", "division", "--point", "-1,3",
+                         "--prec-index", "3")
+    assert (code, err) == (0, "") and out.startswith("value = -1/3\n")
+    code, out, err = run(capsys, "eval", "--system", "cosine", "--point", "-1/2",
+                         "--prec-index", "3")
+    assert (code, err) == (0, "") and out.startswith("value = 15/16\n")
+    code, out, err = run(capsys, "eval", "--system", "division", "--point", "1,3",
+                         "--eps", "-1/2")
+    assert (code, out, err) == (1, "", "error: --eps must be positive\n")
+    code, out, err = run(capsys, "verify", "--system", "division", "--quads", "10",
+                         "--xi-per-quad", "2", "--cond2-xi", "-1,3")
+    assert (code, err) == (0, "") and "condition2: outcome = pass" in out
+
+
 def test_eval_negative_digits_prints_nothing(capsys):
     code, out, err = run(
         capsys, "eval", "--system", "division", "--point", "1,3",

@@ -12,7 +12,9 @@ from approxsys.core import (
     decode_quadruple,
     encode_quadruple,
 )
-from approxsys.errors import DimensionError, DomainError
+from approxsys.errors import DimensionError, DomainError, SearchTimeout
+from approxsys.evaluate import apply
+from approxsys.names import name_of_point
 from approxsys.numerics import cantor_join, cantor_split
 from approxsys.systems import (
     FAnd,
@@ -295,6 +297,21 @@ def test_members_prefix_decides_once_per_code_scanned():
     scan_cap = div._scanned + 12_345  # reached before the 2 * 10^4-th member
     div.members_prefix(2 * 10**4, scan_cap)
     assert len(seen) == div._scanned == scan_cap
+
+
+def test_decide_replaced_on_the_instance_is_called_once_per_membership_and_probe():
+    div = division_system.__wrapped__()
+    decide, seen = div.decide, []
+    div.decide = lambda q: seen.append(q) or decide(q)  # as a tracer patches it
+    q = Quadruple((F(1), F(3)), 9, F(1, 3), 0)
+    assert div.membership(q, 0) is Membership.YES and seen == [q]
+    seen.clear()
+    res = apply(div, name_of_point((F(1), F(3))), 99, 100)
+    assert res.value == F(1, 3) and len(seen) == res.search_steps == 1
+    seen.clear()
+    with pytest.raises(SearchTimeout):  # (1, 0) is outside the domain
+        apply(div, name_of_point((F(1), F(0))), 3, 50)
+    assert len(seen) == 50
 
 
 def test_members_prefix_resumes_at_the_code_whose_decide_raised():

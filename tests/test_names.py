@@ -26,6 +26,19 @@ def test_name_of_point_contract():
         assert f.approx(i) == (F(1), F(3))
 
 
+def test_name_of_point_is_one_point_at_every_index():
+    point = (F(1, 3), F(-2))
+    f = name_of_point(point)
+    assert isinstance(f, OrdinaryName) and f.dim == 2
+    assert f.approx(0) is f.approx(10**9) is point
+    with pytest.raises(IndexError):
+        f.approx(-1)
+    reads = []
+    approx = f.approx
+    f.approx = lambda i: reads.append(i) or approx(i)  # as a tracer patches it
+    assert f.approx(7) == point and reads == [7]
+
+
 def test_dyadic_name_frozen_values():
     f = dyadic_name(F(1, 3))
     assert f.approx(0) == (F(1, 4),)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from approxsys.core import decode_quadruple
 from approxsys.errors import DimensionError, DomainError, FormatError
 from approxsys.numerics import (
+    as_point,
     as_rat,
     cantor_join,
     cantor_split,
@@ -187,6 +188,20 @@ def test_as_rat_parses_exactly():
 def test_as_rat_rejects(bad):
     with pytest.raises(FormatError):
         as_rat(bad)
+
+
+def test_as_point_keeps_a_point_and_coerces_the_rest():
+    point = (F(1, 3), F(-2))
+    assert as_point(point) is point
+    assert as_point([F(1, 3), F(-2)]) == point
+    assert as_point(("1/3", -2)) == point
+    assert as_point("-1/2") == (F(-1, 2),)
+
+
+@pytest.mark.parametrize("bad", [(F(1), 0.5), (True, F(1)), (F(1), "1e3")])
+def test_as_point_rejects(bad):
+    with pytest.raises(FormatError):
+        as_point(bad)
 
 
 def test_decimal_str_frozen():

@@ -840,3 +840,5 @@ def test_decide_and_witness_reject_points_of_other_dimension(ctor):
             system.decide(Quadruple(a, 0, F(1), 0))
         with pytest.raises(DimensionError):
             system.witness(a, 0, 0)
+        with pytest.raises(DimensionError):
+            system.membership(Quadruple(a, 0, F(1), 0), 1)

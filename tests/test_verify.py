@@ -209,7 +209,7 @@ def test_condition1_refutes_radius_mutant():
     assert F(v.witness["distance"]) >= F(v.witness["bound"])
     assert v.to_json() == (
         '{"diagnostics": "sampled point violates the quadruple\'s promise", '
-        '"outcome": "counter_example", "samples": 8, "seed": 0, "witness": '
+        '"outcome": "counter_example", "samples": 4, "seed": 0, "witness": '
         '{"bound": "1", "distance": "3198388/1889499", "oracle_value": "3198388/1889499", '
         '"quad": {"a": ["0", "1"], "b": "0", "m": 0, "n": 0}, '
         '"xi": ["3997985/4194304", "9447495/16777216"]}}'
