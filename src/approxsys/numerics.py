@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union
@@ -56,11 +57,13 @@ def as_rat(value: RatLike) -> Rat:
 def as_point(value: Union[Point, Sequence[RatLike], RatLike]) -> Point:
     """Coerce a scalar or a sequence of rational literals to a point.
 
-    A tuple of Fractions already is a point and comes back as it is.
+    A tuple of Fractions already is a point and comes back as it is.  Any
+    other value that is not iterable is taken as a scalar, so one that is
+    not a rational literal (a float, None) raises FormatError.
     """
     if type(value) is tuple and all(isinstance(c, Fraction) for c in value):
         return value
-    if isinstance(value, (Fraction, int, str)):
+    if isinstance(value, (Fraction, int, str)) or not isinstance(value, Iterable):
         return (as_rat(value),)
     return tuple(as_rat(c) for c in value)
 

@@ -4,7 +4,18 @@ The harness can refute but never fully confirm: Pass means "no violation
 found at these sample sizes and seed".  CounterExample verdicts carry the
 offending quadruple and point and are always genuine relative to the oracle's
 accuracy contract.  When an inexact oracle cannot separate a distance from
-the bound, the verdict degrades to Inconclusive rather than guessing.
+the bound, the sample is queried again with a thousandth of the error, up to
+three times; only if that still cannot separate them does the verdict degrade
+to Inconclusive rather than guessing.
+
+An oracle that declares a Lipschitz constant L lets the soundness audit
+certify a whole ball from the oracle's value c at its center a: when
+|b - c| + L/(m+1) + 3 eps < 1/(n+1), every sample of the ball passes
+whatever eps-accurate value the oracle would give for it, so the ball's
+points are neither built nor evaluated (its random draws are still made, so
+later balls see the same samples).  Verdicts, sample counts and witnesses are
+those of evaluating every sample.
+
 Every audit raises DimensionError before any work on mismatched dimensions,
 and DomainError on a negative index, budget or scan cap, or on a sample count
 below 1.
@@ -30,7 +41,10 @@ class RefOracle:
     """Reference implementation: eval(xi, eps) is within eps of the truth.
 
     `exact` declares eps = 0 queries legal (the answer is the truth itself);
-    inexact oracles must be called with eps > 0.
+    inexact oracles must be called with eps > 0.  `lipschitz`, when given, is
+    a constant L >= 0 with |f(x) - f(y)| <= L dist(x, y) in the max metric for
+    all x, y in Q^dim, so the oracle's domain is all of Q^dim; the soundness
+    audit then certifies whole balls from their centers.
     """
 
     eval: Callable[[Point, Rat], Rat]
@@ -38,6 +52,11 @@ class RefOracle:
     exact: bool
     name: str
     dim: int
+    lipschitz: Optional[Rat] = None
+
+    def __post_init__(self):
+        if self.lipschitz is not None and self.lipschitz < 0:
+            raise DomainError(f"a Lipschitz constant is at least 0, got {self.lipschitz}")
 
 
 class Outcome(Enum):
@@ -124,6 +143,7 @@ def cosine_oracle() -> RefOracle:
         exact=False,
         name="cosine",
         dim=1,
+        lipschitz=Fraction(1),  # |cos x - cos y| <= |x - y|
     )
 
 
@@ -140,6 +160,20 @@ def squaring_oracle() -> RefOracle:
 # --- sampling -------------------------------------------------------------------
 
 _RAND_DENOM = 1 << 24
+
+
+def _special_count(m: int, dim: int) -> int:
+    """How many special points a ball has: its center, and up to 8 corners if m > 0."""
+    return 1 + (min(1 << dim, 8) if m else 0)
+
+
+def _offset(odd: int, draw: Callable[..., int]) -> int:
+    """One axis's random numerator j, for the coordinate c + j/(2^24 (m+1)).
+
+    Magnitudes are uniform on odd attempts and boundary-hugging on even ones.
+    """
+    j = draw(_RAND_DENOM) if odd else _RAND_DENOM - draw(1, 1 << 12)
+    return j if draw(2) else -j
 
 
 def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
@@ -162,29 +196,61 @@ def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
     corners = (tuple(Fraction(cn * M * M + s * (M - 1) * cd, cd * M * M)
                      for (cn, cd), s in zip(ratios, signs))
                for signs in product((1, -1), repeat=len(center)))
-    specials = chain((center,), islice(corners, 8 if m else 0))
+    specials = islice(chain((center,), corners), _special_count(m, len(center)))
     out = list(islice(specials if domain_test is None else filter(domain_test, specials), count))
 
     scale = _RAND_DENOM * M
+    draw = rng.randrange
     attempts = 0
     while len(out) < count and attempts < 64 * count + 64:
         attempts += 1
-        coords = []
-        for cn, cd in ratios:
-            if attempts % 2:
-                j = rng.randrange(_RAND_DENOM)
-            else:
-                j = _RAND_DENOM - rng.randrange(1, 1 << 12)
-            if not rng.randrange(2):
-                j = -j
-            coords.append(Fraction(cn * scale + j * cd, cd * scale))
-        p = tuple(coords)
+        odd = attempts % 2
+        p = tuple([Fraction(cn * scale + _offset(odd, draw) * cd, cd * scale) for cn, cd in ratios])
         if domain_test is None or domain_test(p):
             out.append(p)
     return out
 
 
+def _skip_ball(m: int, dim: int, count: int, rng: random.Random):
+    """Advance rng exactly as `_sample_ball(center, m, count, rng, None)` does
+    for a center of dimension dim, building no point."""
+    draw = rng.randrange
+    for attempt in range(1, count - _special_count(m, dim) + 1):
+        for _ in range(dim):
+            _offset(attempt % 2, draw)
+
+
 # --- condition (1): soundness ----------------------------------------------------
+
+_REFINE_ROUNDS = 3  # margin-band re-queries of one sample, each at a thousandth of the last eps
+
+
+def _side(pb: int, qb: int, approx: Rat, N: int, en: int, ed: int) -> int:
+    """Where |b - approx| lies against 1/N with margin eps: 1 at or beyond
+    1/N + eps, -1 below 1/N - eps, 0 in the margin band between.
+
+    For b = pb/qb, approx = pa/qa and eps = en/ed, each test is multiplied
+    through by N ed qb qa > 0.
+    """
+    pa, qa = approx.as_integer_ratio()
+    gap = abs(pb * qa - pa * qb) * N * ed
+    if gap < qb * qa * (ed - N * en):
+        return -1
+    return 1 if gap >= qb * qa * (ed + N * en) else 0
+
+
+def _refine(oracle: RefOracle, xi: Point, pb: int, qb: int, N: int, en: int, ed: int):
+    """Query a sample in the margin band again, each time with a thousandth
+    of the last eps, until it leaves the band or `_REFINE_ROUNDS` queries are
+    spent; returns its last `_side` and the value that decided it."""
+    for _ in range(_REFINE_ROUNDS):
+        ed *= 1000
+        approx = oracle.eval(xi, Fraction(en, ed))
+        side = _side(pb, qb, approx, N, en, ed)
+        if side:
+            break
+    return side, approx
+
 
 def verify_condition1(system: ApproxSystem, oracle: RefOracle,
                       quad_samples: int = 1000, xi_samples: int = 10,
@@ -193,29 +259,53 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
 
     For each drawn quadruple and each sampled point of its ball, compares
     |b - oracle(xi)| against 1/(n+1) with margin eps = 1/(10(n+1)^2) (zero
-    for exact oracles): distance >= bound + eps refutes soundness; landing
-    inside the margin band is recorded and reported Inconclusive unless a
-    real counterexample also shows up.
+    for exact oracles): distance >= bound + eps refutes soundness.  A sample
+    inside the margin band is queried again with eps/1000, up to
+    `_REFINE_ROUNDS` times, and decided by the margin of its last query; one
+    still in the band is recorded and reported Inconclusive unless a real
+    counterexample also shows up.  With an oracle that declares a Lipschitz
+    constant, a ball whose center certifies it (see the module docstring)
+    counts its samples without evaluating them.
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     _at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
     rng = random.Random(seed)
     quads = system.members_prefix(quad_samples, scan_cap)
+    if oracle.lipschitz is not None:
+        pl, ql = oracle.lipschitz.as_integer_ratio()
     samples = 0
     straddles = 0
+    refined = 0
     for quad in quads:
-        # |b - approx| >= 1/N +- eps for b = pb/qb, approx = pa/qa and
-        # eps = en/ed, multiplied through by N ed qb qa > 0
         N = quad.n + 1
         en, ed = (0, 1) if oracle.exact else (1, 10 * N * N)
         eps = Fraction(en, ed)
         pb, qb = quad.b.as_integer_ratio()
+        center = None  # the oracle's value at the ball's center, once computed
+        if oracle.lipschitz is not None:
+            # |b - c| + L/M + 3 eps < 1/N for the center's value c = pc/qc,
+            # multiplied through by N ed qb qc ql M > 0
+            center = oracle.eval(quad.a, eps)
+            pc, qc = center.as_integer_ratio()
+            M = quad.m + 1
+            D = qb * qc
+            if (abs(pb * qc - pc * qb) * ql * M * ed + D * (pl * ed + 3 * en * ql * M)) * N \
+                    < D * ql * M * ed:
+                samples += xi_samples
+                _skip_ball(quad.m, len(quad.a), xi_samples, rng)
+                continue
         for xi in _sample_ball(quad.a, quad.m, xi_samples, rng, oracle.domain_test):
             samples += 1
-            approx = oracle.eval(xi, eps)
-            pa, qa = approx.as_integer_ratio()
-            gap = abs(pb * qa - pa * qb) * N * ed
-            if gap >= qb * qa * (ed + N * en):
+            if center is None:
+                approx = oracle.eval(xi, eps)
+            else:  # xi is the center: the domain is total, so it comes first
+                approx, center = center, None
+            side = _side(pb, qb, approx, N, en, ed)
+            if side == 0:
+                side, approx = _refine(oracle, xi, pb, qb, N, en, ed)
+                straddles += side == 0
+                refined += side < 0
+            if side > 0:
                 return Verdict(
                     Outcome.COUNTER_EXAMPLE,
                     samples=samples,
@@ -229,8 +319,6 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
                     },
                     diagnostics="sampled point violates the quadruple's promise",
                 )
-            if en and gap >= qb * qa * (ed - N * en):
-                straddles += 1
     if straddles:
         return Verdict(
             Outcome.INCONCLUSIVE,
@@ -242,7 +330,8 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
         Outcome.PASS,
         samples=samples,
         seed=seed,
-        diagnostics=f"checked {len(quads)} quadruples",
+        diagnostics=f"checked {len(quads)} quadruples"
+                    + (f", {refined} samples refined out of the oracle margin band" if refined else ""),
     )
 
 

@@ -324,6 +324,16 @@ def test_verify_cosine_never_counterexample(capsys):
     assert "counter_example" not in out
 
 
+def test_verify_cosine_default_passes(capsys):
+    # margin straddles are re-queried at a tighter eps, and all of them resolve
+    code, out, _ = run(capsys, "verify", "--system", "cosine")
+    assert code == 0
+    assert out == (
+        "condition1: outcome = pass, samples = 10000, seed = 0\n"
+        "condition1: checked 1000 quadruples, 79 samples refined out of the oracle margin band\n"
+    )
+
+
 def test_verify_maximal_division_uses_division_oracle(capsys):
     code, out, _ = run(
         capsys, "verify", "--system", "maximal-division", "--quads", "150",

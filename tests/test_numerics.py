@@ -198,7 +198,8 @@ def test_as_point_keeps_a_point_and_coerces_the_rest():
     assert as_point("-1/2") == (F(-1, 2),)
 
 
-@pytest.mark.parametrize("bad", [(F(1), 0.5), (True, F(1)), (F(1), "1e3")])
+@pytest.mark.parametrize("bad", [(F(1), 0.5), (True, F(1)), (F(1), "1e3"),
+                                 0.5, None, object()])
 def test_as_point_rejects(bad):
     with pytest.raises(FormatError):
         as_point(bad)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from approxsys.verify import (
     RefOracle,
     Verdict,
     _sample_ball,
+    _skip_ball,
     brute_force_condition1_check,
     cos_taylor,
     cosine_oracle,
@@ -151,6 +153,19 @@ def test_sample_ball_takes_its_first_points_from_the_specials_without_drawing():
             assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("center", [(F(1, 3),), (F(1, 3), F(-2, 7)), (F(1),) * 4],
+                         ids=["dim1", "dim2", "dim4"])
+@pytest.mark.parametrize("m", [0, 4])
+def test_skip_ball_draws_what_sample_ball_draws(center, m):
+    # special points: the center, then 2, 4 or (capped) 8 corners when m > 0
+    specials = 1 + (min(2 ** len(center), 8) if m else 0)
+    for count in sorted({1, specials - 1, specials, specials + 1, 10} - {0}):
+        sampled, skipped = random.Random(9), random.Random(9)
+        _sample_ball(center, m, count, sampled, None)
+        _skip_ball(m, len(center), count, skipped)
+        assert skipped.getstate() == sampled.getstate()
+
+
 def test_sample_ball_deterministic():
     a = _sample_ball((F(1),), 4, 9, random.Random(11), None)
     b = _sample_ball((F(1),), 4, 9, random.Random(11), None)
@@ -255,6 +270,119 @@ def test_condition1_refutes_cosine_mutant():
         '{"bound": "1/2", "distance": "210889/327680", "oracle_value": "-210889/327680", '
         '"quad": {"a": ["2"], "b": "0", "m": 1, "n": 1}, "xi": ["9/4"]}}'
     )
+
+
+# --- the Lipschitz ball certificate and margin refinement ---------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+       st.fractions(min_value=-20, max_value=20, max_denominator=10**6))
+def test_cosine_oracle_lipschitz_constant_holds(x, y):
+    oracle = cosine_oracle()
+    eps = F(1, 10**6)
+    cx, cy = oracle.eval((x,), eps), oracle.eval((y,), eps)
+    assert abs(cx - cy) <= oracle.lipschitz * abs(x - y) + 2 * eps
+
+
+def test_lipschitz_constant_is_not_negative():
+    with pytest.raises(DomainError):
+        dataclasses.replace(cosine_oracle(), lipschitz=F(-1))
+
+
+def _counting(oracle):
+    calls = []
+
+    def counting_eval(xi, eps):
+        calls.append(xi)
+        return oracle.eval(xi, eps)
+
+    return dataclasses.replace(oracle, eval=counting_eval), calls
+
+
+def _shifted_cosine(q: Quadruple) -> bool:
+    # (a, m, b + 1/(n+1), n) for each cosine member (a, m, b, n): unsound
+    return cosine_system().decide(q._replace(b=q.b - F(1, q.n + 1)))
+
+
+_CERTIFICATE_CASES = [
+    pytest.param(None, seed, xi, quads, id=f"cosine-{seed}-{xi}-{quads}")
+    for seed in range(4) for xi in (1, 2, 3, 4, 10) for quads in (50, 300)
+] + [
+    pytest.param(predicate, seed, 10, 300, id=f"{predicate.__name__}-{seed}")
+    for predicate in (_mutant_cosine_accept_without_halfterm, _shifted_cosine)
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("predicate, seed, xi, quads", _CERTIFICATE_CASES)
+def test_lipschitz_certificate_keeps_every_verdict(predicate, seed, xi, quads):
+    system = cosine_system() if predicate is None else DecidableSystem(predicate, 1, name="cosine-lax")
+    certified, calls = _counting(cosine_oracle())
+    sampled, sampled_calls = _counting(dataclasses.replace(cosine_oracle(), lipschitz=None))
+    v = verify_condition1(system, certified, quads, xi, seed)
+    assert v.to_json() == verify_condition1(system, sampled, quads, xi, seed).to_json()
+    assert len(calls) <= len(sampled_calls)
+
+
+def test_lipschitz_certificate_skips_most_oracle_calls():
+    oracle, calls = _counting(cosine_oracle())
+    v = verify_condition1(cosine_system(), oracle, quad_samples=300, xi_samples=10)
+    assert v.samples == 3000
+    # one call per ball at its center, nine more for each uncertified one
+    assert len(calls) < v.samples / 2
+
+
+class _Listed:
+    """A stand-in system whose enumeration prefix is the given quadruples."""
+
+    name, dim_in = "listed", 1
+
+    def __init__(self, *quads):
+        self.quads = list(quads)
+
+    def members_prefix(self, count, scan_cap=None):
+        return self.quads[:count]
+
+
+@pytest.mark.parametrize("b, certified", [
+    (F(7, 10) - F(1, 10**9), True),
+    (F(7, 10), False),
+    (F(-1, 2) + F(1, 10**9), True),
+    (F(-1, 2), False),
+])
+def test_ball_certificate_needs_three_eps_to_spare(b, certified):
+    # f(x) = x with L = 1, from an oracle that errs by +eps, as its contract
+    # allows.  For (a, m, n) = (0, 9, 0), eps = 1/10 and the center's value
+    # c = 1/10, |b - c| + 1/10 + 3/10 < 1 certifies exactly -1/2 < b < 7/10.
+    oracle, asked = _counting(RefOracle(lambda xi, eps: xi[0] + eps, lambda xi: True,
+                                        exact=False, name="identity", dim=1, lipschitz=F(1)))
+    v = verify_condition1(_Listed(Quadruple((F(0),), 9, b, 0)), oracle, 1, 10)
+    assert v.outcome is Outcome.PASS and v.samples == 10
+    assert len(asked) == (1 if certified else 10)
+
+
+def _inexact_constant(value, error):
+    """An oracle for the constant function `value`, off by `error` * eps."""
+    return RefOracle(lambda xi, eps: value + error * eps, lambda xi: True,
+                     exact=False, name="constant", dim=1)
+
+
+@pytest.mark.parametrize("value, error, outcome, calls", [
+    (F(-1, 20), F(9, 10), Outcome.COUNTER_EXAMPLE, 2),  # distance 0.96, then 1.04991
+    (F(1, 20), F(-9, 10), Outcome.PASS, 2),  # distance 1.04, then 0.95009
+    (F(0), F(0), Outcome.INCONCLUSIVE, 4),  # exactly on the bound at every eps
+])
+def test_condition1_refines_margin_straddles(value, error, outcome, calls):
+    # (0, 0, 1, 0) promises |f(x) - 1| < 1 on (-1, 1); eps = 1/10 at n = 0,
+    # so the margin band is [9/10, 11/10) before any refinement
+    oracle, asked = _counting(_inexact_constant(value, error))
+    v = verify_condition1(_Listed(Quadruple((F(0),), 0, F(1), 0)), oracle, 1, 1)
+    assert v.outcome is outcome and v.samples == 1
+    assert len(asked) == calls
+    if outcome is Outcome.COUNTER_EXAMPLE:
+        assert F(v.witness["distance"]) >= 1 + F(1, 10**4)
+    if outcome is Outcome.PASS:
+        assert v.diagnostics == "checked 1 quadruples, 1 samples refined out of the oracle margin band"
 
 
 def _mutant_open_interval_maximal(q: Quadruple) -> bool:
