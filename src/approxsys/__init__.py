@@ -78,6 +78,7 @@ from .systems import (
     squaring_system,
 )
 from .verify import (
+    Enclosure,
     Outcome,
     RefOracle,
     Verdict,

@@ -183,11 +183,11 @@ def _cmd_enumerate(args) -> int:
         doc = {"system": system.name, "members": [q.to_json_dict() for q in members]}
         print(json.dumps(doc, sort_keys=True))
     else:
-        for idx, q in enumerate(members):
-            coords = ", ".join(str(c) for c in q.a)
-            print(f"#{idx}: a=({coords}) m={q.m} b={q.b} n={q.n}")
+        lines = [f"#{idx}: a=({', '.join(map(str, q.a))}) m={q.m} b={q.b} n={q.n}\n"
+                 for idx, q in enumerate(members)]
         if len(members) < args.count:
-            print(f"(scan horizon reached after {len(members)} members)")
+            lines.append(f"(scan horizon reached after {len(members)} members)\n")
+        sys.stdout.write("".join(lines))
     return _EXIT_OK
 
 

@@ -8,13 +8,13 @@ the bound, the sample is queried again with a thousandth of the error, up to
 three times; only if that still cannot separate them does the verdict degrade
 to Inconclusive rather than guessing.
 
-An oracle that declares a Lipschitz constant L lets the soundness audit
-certify a whole ball from the oracle's value c at its center a: when
-|b - c| + L/(m+1) + 3 eps < 1/(n+1), every sample of the ball passes
-whatever eps-accurate value the oracle would give for it, so the ball's
-points are neither built nor evaluated (its random draws are still made, so
-later balls see the same samples).  Verdicts, sample counts and witnesses are
-those of evaluating every sample.
+The soundness audit first asks the oracle to enclose its values on a ball
+(`RefOracle.enclose`).  A ball whose enclosure lies inside the promise with
+room eps to spare is proved: every sample of it would pass, so it is counted
+with its samples and none is built or evaluated.  The other balls are
+sampled.  Sample j of a ball comes from one blake2b digest of the seed, the
+member's text (or condition 2's point and m) and j, so a ball's points do
+not depend on the balls audited before it, and a proved ball draws nothing.
 
 Every audit raises DimensionError before any work on mismatched dimensions,
 and DomainError on a negative index, budget or scan cap, or on a sample count
@@ -24,16 +24,29 @@ below 1.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from hashlib import blake2b
 from itertools import chain, islice, product
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple
 from .errors import DimensionError, DomainError
-from .numerics import Point, Rat, rat_div
+from .numerics import Point, Rat, as_point, rat_div
+
+
+class Enclosure(NamedTuple):
+    """Integer ends lo = lo[0]/lo[1] <= hi = hi[0]/hi[1], denominators > 0,
+    of every value an eps-accurate oracle can give on an open ball.  An end
+    flagged open is reached only on the ball's boundary.  `at_center` is the
+    oracle's value at the center, when enclosing asked for it."""
+
+    lo: Tuple[int, int]
+    hi: Tuple[int, int]
+    lo_open: bool = False
+    hi_open: bool = False
+    at_center: Optional[Rat] = None
 
 
 @dataclass(frozen=True)
@@ -41,10 +54,10 @@ class RefOracle:
     """Reference implementation: eval(xi, eps) is within eps of the truth.
 
     `exact` declares eps = 0 queries legal (the answer is the truth itself);
-    inexact oracles must be called with eps > 0.  `lipschitz`, when given, is
-    a constant L >= 0 with |f(x) - f(y)| <= L dist(x, y) in the max metric for
-    all x, y in Q^dim, so the oracle's domain is all of Q^dim; the soundness
-    audit then certifies whole balls from their centers.
+    inexact oracles must be called with eps > 0.  `enclose(a, m, eps)`
+    bounds the oracle's values on the open ball of radius 1/(m+1) around a,
+    or returns None; this class knows no bound, so the soundness audit
+    samples every ball.  The built-in oracles enclose their functions.
     """
 
     eval: Callable[[Point, Rat], Rat]
@@ -52,11 +65,9 @@ class RefOracle:
     exact: bool
     name: str
     dim: int
-    lipschitz: Optional[Rat] = None
 
-    def __post_init__(self):
-        if self.lipschitz is not None and self.lipschitz < 0:
-            raise DomainError(f"a Lipschitz constant is at least 0, got {self.lipschitz}")
+    def enclose(self, a: Point, m: int, eps: Rat) -> Optional[Enclosure]:
+        return None
 
 
 class Outcome(Enum):
@@ -67,11 +78,15 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """`proved` counts the soundness audit's balls proved by enclosure (their
+    samples are in `samples`); the JSON record leaves it out."""
+
     outcome: Outcome
     samples: int
     seed: Optional[int] = None
     witness: Optional[dict] = None
     diagnostics: str = ""
+    proved: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,98 +141,120 @@ def cos_taylor(x: Rat, err: Rat) -> Rat:
         i += 1
 
 
+class _DivisionOracle(RefOracle):
+    def enclose(self, a: Point, m: int, eps: Rat) -> Optional[Enclosure]:
+        """Interval division of the closed box's sides (Moore 1966), when
+        the x2-side excludes 0.  Written as X/Y with Y > 0, the greatest
+        quotient is X+/Y- if X+ >= 0, else X+/Y+, and the least is X-/Y+ if
+        X- >= 0, else X-/Y-.  x1/x2 is strictly monotone in x1 there, so
+        neither end is reached inside the open box."""
+        (p1, q1), (p2, q2) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
+        M = m + 1
+        if M * abs(p2) <= q2:
+            return None
+        if p2 < 0:  # x1/x2 = (-x1)/|x2|
+            p1, p2 = -p1, -p2
+        # sides (M p1 +- q1)/(M q1) and (M p2 +- q2)/(M q2), quotients over M q1 q2
+        x_lo, x_hi = (M * p1 - q1) * q2, (M * p1 + q1) * q2
+        y_lo, y_hi = (M * p2 - q2) * q1, (M * p2 + q2) * q1
+        return Enclosure((x_lo, y_hi if x_lo >= 0 else y_lo),
+                         (x_hi, y_lo if x_hi >= 0 else y_hi), True, True)
+
+
+class _SquareOracle(RefOracle):
+    def enclose(self, a: Point, m: int, eps: Rat) -> Optional[Enclosure]:
+        """The squares of the closed interval's ends, both reached only on
+        the boundary; when the interval holds 0 strictly, the least value is
+        0, reached inside."""
+        p, q = a[0].as_integer_ratio()
+        M = m + 1
+        low, high = sorted(((M * p - q) ** 2, (M * p + q) ** 2))
+        D = M * M * q * q
+        if M * abs(p) < q:
+            return Enclosure((0, 1), (high, D), False, True)
+        return Enclosure((low, D), (high, D), True, True)
+
+
+class _CosineOracle(RefOracle):
+    def enclose(self, a: Point, m: int, eps: Rat) -> Optional[Enclosure]:
+        """c +- (1/(m+1) + 2 eps) for the value c at the center: cos is
+        1-Lipschitz, and c and each value are within eps of the truth."""
+        c = self.eval(a, eps)
+        pc, qc = c.as_integer_ratio()
+        en, ed = eps.as_integer_ratio()
+        M = m + 1
+        mid, r = pc * M * ed, qc * (ed + 2 * en * M)
+        D = qc * M * ed
+        return Enclosure((mid - r, D), (mid + r, D), False, False, c)
+
+
 def division_oracle() -> RefOracle:
-    return RefOracle(
-        eval=lambda xi, eps: rat_div(xi[0], xi[1]),
-        domain_test=lambda xi: xi[1] != 0,
-        exact=True,
-        name="division",
-        dim=2,
-    )
+    return _DivisionOracle(eval=lambda xi, eps: rat_div(xi[0], xi[1]),
+                           domain_test=lambda xi: xi[1] != 0, exact=True, name="division", dim=2)
 
 
 def cosine_oracle() -> RefOracle:
-    return RefOracle(
-        eval=lambda xi, eps: cos_taylor(xi[0], eps),
-        domain_test=lambda xi: True,
-        exact=False,
-        name="cosine",
-        dim=1,
-        lipschitz=Fraction(1),  # |cos x - cos y| <= |x - y|
-    )
+    return _CosineOracle(eval=lambda xi, eps: cos_taylor(xi[0], eps),
+                         domain_test=lambda xi: True, exact=False, name="cosine", dim=1)
 
 
 def squaring_oracle() -> RefOracle:
-    return RefOracle(
-        eval=lambda xi, eps: xi[0] * xi[0],
-        domain_test=lambda xi: True,
-        exact=True,
-        name="square",
-        dim=1,
-    )
+    return _SquareOracle(eval=lambda xi, eps: xi[0] * xi[0],
+                         domain_test=lambda xi: True, exact=True, name="square", dim=1)
 
 
 # --- sampling -------------------------------------------------------------------
 
 _RAND_DENOM = 1 << 24
+_HUG = (1 << 12) - 1  # boundary-hugging magnitudes lie in [2^24 - _HUG, 2^24)
 
 
-def _special_count(m: int, dim: int) -> int:
-    """How many special points a ball has: its center, and up to 8 corners if m > 0."""
-    return 1 + (min(1 << dim, 8) if m else 0)
-
-
-def _offset(odd: int, draw: Callable[..., int]) -> int:
-    """One axis's random numerator j, for the coordinate c + j/(2^24 (m+1)).
-
-    Magnitudes are uniform on odd attempts and boundary-hugging on even ones.
-    """
-    j = draw(_RAND_DENOM) if odd else _RAND_DENOM - draw(1, 1 << 12)
-    return j if draw(2) else -j
-
-
-def _sample_ball(center: Point, m: int, count: int, rng: random.Random,
+def _sample_ball(center: Point, m: int, count: int, key: str,
                  domain_test: Optional[Callable[[Point], bool]]) -> List[Point]:
     """Up to `count` rational points strictly inside the 1/(m+1) ball.
 
     Starts with the center itself and near-boundary corners at per-axis
-    distance 1/(m+1) - 1/(m+1)^2 (none at m = 0, where that distance is 0
-    and every corner is the center), then corner-biased random points:
-    random offsets alternate between uniform and boundary-hugging
-    magnitudes, which is where soundness violations concentrate.  The
-    special points are built lazily, up to the count-th one kept, and rng
-    is drawn from only when they run out.
+    distance 1/(m+1) - 1/(m+1)^2 (none at m = 0, where every corner is the
+    center), built lazily up to the count-th one kept.  Then random point j
+    (from 1) is c + s t/(2^24 (m+1)) on each axis, from 32 bits of the
+    blake2b digest of f"{key};{j};{block}", 16 axes per block: bit 0 gives
+    the sign s, the rest the magnitude t, uniform below 2^24 for odd j and
+    boundary-hugging, in [2^24 - _HUG, 2^24), for even j, since soundness
+    violations concentrate near the boundary.
     """
     M = m + 1
+    dim = len(center)
     ratios = [c.as_integer_ratio() for c in center]
 
-    # A corner coordinate c +- (M - 1)/M^2 and a random one c +- (j/2^24)/M,
+    # A corner coordinate c +- (M - 1)/M^2 and a random one c +- (t/2^24)/M,
     # for c = cn/cd, are each built as one Fraction over cd M^2 or cd 2^24 M.
     corners = (tuple(Fraction(cn * M * M + s * (M - 1) * cd, cd * M * M)
                      for (cn, cd), s in zip(ratios, signs))
-               for signs in product((1, -1), repeat=len(center)))
-    specials = islice(chain((center,), corners), _special_count(m, len(center)))
+               for signs in product((1, -1), repeat=dim))
+    specials = islice(chain((center,), corners), 1 + (min(1 << dim, 8) if m else 0))
     out = list(islice(specials if domain_test is None else filter(domain_test, specials), count))
+    if len(out) == count:
+        return out
 
     scale = _RAND_DENOM * M
-    draw = rng.randrange
-    attempts = 0
-    while len(out) < count and attempts < 64 * count + 64:
-        attempts += 1
-        odd = attempts % 2
-        p = tuple([Fraction(cn * scale + _offset(odd, draw) * cd, cd * scale) for cn, cd in ratios])
+    keyed = blake2b(key.encode(), digest_size=4 * min(16, dim))
+    j = 0
+    while len(out) < count and j < 64 * count + 64:
+        j += 1
+        bits = 0
+        for block in range(0, dim, 16):
+            digest = keyed.copy()
+            digest.update(b";%d;%d" % (j, block))
+            bits |= int.from_bytes(digest.digest(), "little") << (32 * block)
+        coords = []
+        for cn, cd in ratios:
+            word, bits = bits & 0xFFFFFFFF, bits >> 32
+            t = (word >> 1) % _RAND_DENOM if j % 2 else _RAND_DENOM - 1 - (word >> 1) % _HUG
+            coords.append(Fraction(cn * scale + (-t if word & 1 else t) * cd, cd * scale))
+        p = tuple(coords)
         if domain_test is None or domain_test(p):
             out.append(p)
     return out
-
-
-def _skip_ball(m: int, dim: int, count: int, rng: random.Random):
-    """Advance rng exactly as `_sample_ball(center, m, count, rng, None)` does
-    for a center of dimension dim, building no point."""
-    draw = rng.randrange
-    for attempt in range(1, count - _special_count(m, dim) + 1):
-        for _ in range(dim):
-            _offset(attempt % 2, draw)
 
 
 # --- condition (1): soundness ----------------------------------------------------
@@ -239,6 +276,18 @@ def _side(pb: int, qb: int, approx: Rat, N: int, en: int, ed: int) -> int:
     return 1 if gap >= qb * qa * (ed + N * en) else 0
 
 
+def _proves(box: Enclosure, pb: int, qb: int, N: int, en: int, ed: int) -> bool:
+    """Whether [lo, hi] lies inside (b - 1/N + eps, b + 1/N - eps), where
+    every sample passes, or, with eps = 0, touches it only at open ends.
+    Each end p/q is tested multiplied through by N ed qb q > 0."""
+    room = ed - N * en
+    for (p, q), is_open, toward in ((box.lo, box.lo_open, -1), (box.hi, box.hi_open, 1)):
+        gap, bound = toward * (p * qb - pb * q) * N * ed, qb * q * room
+        if gap > bound or (gap == bound and (en or not is_open)):
+            return False
+    return True
+
+
 def _refine(oracle: RefOracle, xi: Point, pb: int, qb: int, N: int, en: int, ed: int):
     """Query a sample in the margin band again, each time with a thousandth
     of the last eps, until it leaves the band or `_REFINE_ROUNDS` queries are
@@ -252,6 +301,10 @@ def _refine(oracle: RefOracle, xi: Point, pb: int, qb: int, N: int, en: int, ed:
     return side, approx
 
 
+def _text(point: Point) -> str:
+    return ",".join(map(str, point))
+
+
 def verify_condition1(system: ApproxSystem, oracle: RefOracle,
                       quad_samples: int = 1000, xi_samples: int = 10,
                       seed: int = 0, scan_cap: Optional[int] = None) -> Verdict:
@@ -263,76 +316,45 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     inside the margin band is queried again with eps/1000, up to
     `_REFINE_ROUNDS` times, and decided by the margin of its last query; one
     still in the band is recorded and reported Inconclusive unless a real
-    counterexample also shows up.  With an oracle that declares a Lipschitz
-    constant, a ball whose center certifies it (see the module docstring)
-    counts its samples without evaluating them.
+    counterexample also shows up.  A ball the oracle's enclosure proves (see
+    the module docstring) counts its samples without evaluating them.
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     _at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
-    rng = random.Random(seed)
     quads = system.members_prefix(quad_samples, scan_cap)
-    if oracle.lipschitz is not None:
-        pl, ql = oracle.lipschitz.as_integer_ratio()
-    samples = 0
-    straddles = 0
-    refined = 0
+    samples = proved = straddles = refined = 0
     for quad in quads:
         N = quad.n + 1
         en, ed = (0, 1) if oracle.exact else (1, 10 * N * N)
         eps = Fraction(en, ed)
         pb, qb = quad.b.as_integer_ratio()
-        center = None  # the oracle's value at the ball's center, once computed
-        if oracle.lipschitz is not None:
-            # |b - c| + L/M + 3 eps < 1/N for the center's value c = pc/qc,
-            # multiplied through by N ed qb qc ql M > 0
-            center = oracle.eval(quad.a, eps)
-            pc, qc = center.as_integer_ratio()
-            M = quad.m + 1
-            D = qb * qc
-            if (abs(pb * qc - pc * qb) * ql * M * ed + D * (pl * ed + 3 * en * ql * M)) * N \
-                    < D * ql * M * ed:
-                samples += xi_samples
-                _skip_ball(quad.m, len(quad.a), xi_samples, rng)
-                continue
-        for xi in _sample_ball(quad.a, quad.m, xi_samples, rng, oracle.domain_test):
+        box = oracle.enclose(quad.a, quad.m, eps)
+        if box is not None and _proves(box, pb, qb, N, en, ed):
+            proved += 1
+            samples += xi_samples
+            continue
+        center = None if box is None else box.at_center
+        key = f"{seed};{_text(quad.a)};{quad.m};{quad.b};{quad.n}"
+        for xi in _sample_ball(quad.a, quad.m, xi_samples, key, oracle.domain_test):
             samples += 1
-            if center is None:
-                approx = oracle.eval(xi, eps)
-            else:  # xi is the center: the domain is total, so it comes first
-                approx, center = center, None
+            approx = center if xi is quad.a and center is not None else oracle.eval(xi, eps)
             side = _side(pb, qb, approx, N, en, ed)
             if side == 0:
                 side, approx = _refine(oracle, xi, pb, qb, N, en, ed)
                 straddles += side == 0
                 refined += side < 0
             if side > 0:
-                return Verdict(
-                    Outcome.COUNTER_EXAMPLE,
-                    samples=samples,
-                    seed=seed,
-                    witness={
-                        "quad": quad.to_json_dict(),
-                        "xi": [str(c) for c in xi],
-                        "oracle_value": str(approx),
-                        "distance": str(abs(quad.b - approx)),
-                        "bound": str(Fraction(1, N)),
-                    },
-                    diagnostics="sampled point violates the quadruple's promise",
-                )
+                witness = {"quad": quad.to_json_dict(), "xi": [str(c) for c in xi],
+                           "oracle_value": str(approx), "distance": str(abs(quad.b - approx)),
+                           "bound": str(Fraction(1, N))}
+                return Verdict(Outcome.COUNTER_EXAMPLE, samples, seed, witness,
+                               "sampled point violates the quadruple's promise", proved)
     if straddles:
-        return Verdict(
-            Outcome.INCONCLUSIVE,
-            samples=samples,
-            seed=seed,
-            diagnostics=f"{straddles} samples inside the oracle margin band",
-        )
-    return Verdict(
-        Outcome.PASS,
-        samples=samples,
-        seed=seed,
-        diagnostics=f"checked {len(quads)} quadruples"
-                    + (f", {refined} samples refined out of the oracle margin band" if refined else ""),
-    )
+        return Verdict(Outcome.INCONCLUSIVE, samples, seed,
+                       diagnostics=f"{straddles} samples inside the oracle margin band", proved=proved)
+    note = f", {refined} samples refined out of the oracle margin band" if refined else ""
+    return Verdict(Outcome.PASS, samples, seed, diagnostics=f"checked {len(quads)} quadruples{note}",
+                   proved=proved)
 
 
 # --- condition (2): productivity --------------------------------------------------
@@ -344,52 +366,35 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
 
     For each m <= m_cap, samples points a with dist(a, xi) < 1/(m+1) (not
     restricted to the oracle domain: productivity quantifies over all nearby
-    rational points) and hunts a b with (a, m, b, n) in the system among
-    three candidates: the system's own witness hint and the oracle's value
-    at a and at xi, each confirmed by membership within `budget`.  No
-    enumeration is scanned.  Pass records the first m that served all
-    samples; exhaustion is Inconclusive, never a refutation.
+    rational points), keyed by (seed, xi, m), and hunts a b with
+    (a, m, b, n) in the system among three candidates: the system's own
+    witness hint and the oracle's value at a and at xi (asked once), each
+    confirmed by membership within `budget`.  No enumeration is scanned.
+    Pass records the first m that served all samples; exhaustion is
+    Inconclusive, never a refutation.
     """
+    xi = as_point(xi)
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     _same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
     _at_least(0, n=n, m_cap=m_cap, budget=budget)
     _at_least(1, a_samples=a_samples)
-    rng = random.Random(seed)
     quarter = Fraction(1, 4 * (n + 1))
+    at_xi = [oracle.eval(xi, quarter)] if oracle.domain_test(xi) else []
     samples = 0
     for m in range(m_cap + 1):
-        all_served = True
-        for a in _sample_ball(xi, m, a_samples, rng, None):
+        for a in _sample_ball(xi, m, a_samples, f"{seed};{_text(xi)};{m}", None):
             samples += 1
-            candidates: List[Rat] = []
             w = system.witness(a, m, n)
-            if w is not None:
-                candidates.append(w)
-            if oracle.domain_test(a):
+            candidates = [] if w is None else [w]
+            if a is not xi and oracle.domain_test(a):  # the center a = xi is in at_xi
                 candidates.append(oracle.eval(a, quarter))
-            if oracle.domain_test(xi):
-                candidates.append(oracle.eval(xi, quarter))
-            served = False
-            for b in dict.fromkeys(candidates):
-                if system.membership(Quadruple(a, m, b, n), budget) is Membership.YES:
-                    served = True
-                    break
-            if not served:
-                all_served = False
+            if not any(system.membership(Quadruple(a, m, b, n), budget) is Membership.YES
+                       for b in dict.fromkeys(candidates + at_xi)):
                 break
-        if all_served:
-            return Verdict(
-                Outcome.PASS,
-                samples=samples,
-                seed=seed,
-                diagnostics=f"m={m} serves all sampled points",
-            )
-    return Verdict(
-        Outcome.INCONCLUSIVE,
-        samples=samples,
-        seed=seed,
-        diagnostics=f"no m <= {m_cap} served every sample within the budget",
-    )
+        else:
+            return Verdict(Outcome.PASS, samples, seed, diagnostics=f"m={m} serves all sampled points")
+    return Verdict(Outcome.INCONCLUSIVE, samples, seed,
+                   diagnostics=f"no m <= {m_cap} served every sample within the budget")
 
 
 # --- exhaustive grid check ---------------------------------------------------------
@@ -436,14 +441,8 @@ def verify_containment(sub: ApproxSystem, sup: ApproxSystem, count: int = 1000,
     quads = sub.members_prefix(count, scan_cap)
     for idx, q in enumerate(quads):
         if sup.membership(q, budget) is not Membership.YES:
-            return Verdict(
-                Outcome.COUNTER_EXAMPLE if sup.decide is not None else Outcome.INCONCLUSIVE,
-                samples=idx + 1,
-                witness={"quad": q.to_json_dict()},
-                diagnostics=f"member #{idx} of {sub.name} not accepted by {sup.name}",
-            )
-    return Verdict(
-        Outcome.PASS,
-        samples=len(quads),
-        diagnostics=f"{len(quads)} members of {sub.name} accepted by {sup.name}",
-    )
+            outcome = Outcome.COUNTER_EXAMPLE if sup.decide is not None else Outcome.INCONCLUSIVE
+            return Verdict(outcome, idx + 1, witness={"quad": q.to_json_dict()},
+                           diagnostics=f"member #{idx} of {sub.name} not accepted by {sup.name}")
+    return Verdict(Outcome.PASS, len(quads),
+                   diagnostics=f"{len(quads)} members of {sub.name} accepted by {sup.name}")

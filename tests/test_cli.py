@@ -330,7 +330,7 @@ def test_verify_cosine_default_passes(capsys):
     assert code == 0
     assert out == (
         "condition1: outcome = pass, samples = 10000, seed = 0\n"
-        "condition1: checked 1000 quadruples, 79 samples refined out of the oracle margin band\n"
+        "condition1: checked 1000 quadruples, 80 samples refined out of the oracle margin band\n"
     )
 
 

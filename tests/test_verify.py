@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from approxsys import verify
 from approxsys.core import ApproxSystem, DecidableSystem, Quadruple
 from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
@@ -22,7 +23,6 @@ from approxsys.verify import (
     RefOracle,
     Verdict,
     _sample_ball,
-    _skip_ball,
     brute_force_condition1_check,
     cos_taylor,
     cosine_oracle,
@@ -100,9 +100,8 @@ def test_oracle_domains():
 # --- sampling -----------------------------------------------------------------
 
 def test_sample_ball_geometry():
-    rng = random.Random(0)
     center = (F(1), F(3))
-    pts = _sample_ball(center, 2, 12, rng, None)
+    pts = _sample_ball(center, 2, 12, "0", None)
     assert len(pts) == 12
     assert pts[0] == center
     r = F(1, 3)
@@ -118,58 +117,79 @@ def test_sample_ball_geometry():
 
 
 def test_sample_ball_respects_domain():
-    rng = random.Random(0)
-    pts = _sample_ball((F(0), F(0)), 0, 20, rng, lambda p: p[1] > 0)
+    pts = _sample_ball((F(0), F(0)), 0, 20, "0", lambda p: p[1] > 0)
     assert len(pts) > 0
     for p in pts:
         assert p[1] > 0
 
 
 def test_sample_ball_frozen():
-    one = _sample_ball((F(1, 3),), 4, 7, random.Random(5), None)
+    one = _sample_ball((F(1, 3),), 4, 7, "5", None)
     assert [str(c) for (c,) in one] == [
-        "1/3", "37/75", "13/75", "6850001/15728640", "16782103/125829120",
-        "37014971/251658240", "33562409/251658240",
+        "1/3", "37/75", "13/75", "3010223/6291456", "8388503/15728640",
+        "12759617/25165824", "33561983/251658240",
     ]
     # the center itself lies outside the domain
-    two = _sample_ball((F(1), F(0)), 3, 8, random.Random(7), division_oracle().domain_test)
+    two = _sample_ball((F(1), F(0)), 3, 8, "7", division_oracle().domain_test)
     assert [tuple(map(str, p)) for p in two] == [
         ("19/16", "3/16"), ("19/16", "-3/16"), ("13/16", "3/16"), ("13/16", "-3/16"),
-        ("7030355/8388608", "-6624039/33554432"), ("50331945/67108864", "-8387859/33554432"),
-        ("59904789/67108864", "1441955/33554432"), ("50333361/67108864", "-8388115/33554432"),
+        ("54380867/67108864", "-13240415/67108864"), ("50331965/67108864", "-8387703/33554432"),
+        ("69351851/67108864", "-14866947/67108864"), ("20971211/16777216", "-8386885/33554432"),
     ]
 
 
-def test_sample_ball_takes_its_first_points_from_the_specials_without_drawing():
+def test_sample_ball_takes_its_first_points_from_the_specials_without_drawing(monkeypatch):
+    digests = []
+    monkeypatch.setattr(verify, "blake2b", lambda *args, **kwargs: digests.append(args))
     edge = F(1, 5) - F(1, 25)  # at m = 4
     # the second center lies outside division's domain, its corners do not
     for center, test in (((F(1, 3), F(-2, 7)), None), ((F(1), F(0)), division_oracle().domain_test)):
         corners = [(center[0] + s1 * edge, center[1] + s2 * edge) for s1 in (1, -1) for s2 in (1, -1)]
         specials = corners if test else [center, *corners]
         for count in range(1, len(specials) + 1):
-            rng = random.Random(3)
-            state = rng.getstate()
-            assert _sample_ball(center, 4, count, rng, test) == specials[:count]
-            assert rng.getstate() == state
+            assert _sample_ball(center, 4, count, "3", test) == specials[:count]
+    assert digests == []
+
+
+def test_sample_ball_deterministic():
+    a = _sample_ball((F(1),), 4, 9, "11", None)
+    b = _sample_ball((F(1),), 4, 9, "11", None)
+    assert a == b
+    assert a[3:] != _sample_ball((F(1),), 4, 9, "12", None)[3:]
+
+
+def test_sample_ball_in_many_dimensions():
+    # 16 axes per digest: the 17th to 20th axes come from a second one
+    center = tuple(F(k, 7) for k in range(20))
+    pts = _sample_ball(center, 0, 6, "0", None)
+    assert len(set(pts)) == 6
+    for p in pts[1:]:
+        assert all(abs(x - c) < 1 for x, c in zip(p, center))
+        assert len({x - c for x, c in zip(p, center)}) == 20
 
 
 @pytest.mark.parametrize("center", [(F(1, 3),), (F(1, 3), F(-2, 7)), (F(1),) * 4],
                          ids=["dim1", "dim2", "dim4"])
 @pytest.mark.parametrize("m", [0, 4])
-def test_skip_ball_draws_what_sample_ball_draws(center, m):
-    # special points: the center, then 2, 4 or (capped) 8 corners when m > 0
-    specials = 1 + (min(2 ** len(center), 8) if m else 0)
-    for count in sorted({1, specials - 1, specials, specials + 1, 10} - {0}):
-        sampled, skipped = random.Random(9), random.Random(9)
-        _sample_ball(center, m, count, sampled, None)
-        _skip_ball(m, len(center), count, skipped)
-        assert skipped.getstate() == sampled.getstate()
+def test_ball_samples_do_not_depend_on_earlier_members(center, m):
+    # a later ball's points are the same whichever earlier members are
+    # audited (or dropped) before it: samples are keyed by member
+    dim = len(center)
+    oracle, asked = _counting(RefOracle(lambda xi, eps: F(0), lambda xi: True,
+                                        exact=True, name="zero", dim=dim))
+    members = [Quadruple(tuple(c + k for c in center), m, F(0), 0) for k in range(4)]
 
+    def last_ball(quads):
+        asked.clear()
+        v = verify_condition1(_Listed(*quads, dim=dim), oracle, len(quads), 10, seed=3)
+        assert v.outcome is Outcome.PASS and v.proved == 0
+        return asked[-10:]
 
-def test_sample_ball_deterministic():
-    a = _sample_ball((F(1),), 4, 9, random.Random(11), None)
-    b = _sample_ball((F(1),), 4, 9, random.Random(11), None)
-    assert a == b
+    later = last_ball(members)
+    assert len(set(later)) == len(later) == 10
+    for dropped in range(3):
+        assert last_ball(members[:dropped] + members[dropped + 1:]) == later
+    assert last_ball(members[3:]) == later
 
 
 # --- condition (1) on the honest systems -----------------------------------------
@@ -224,10 +244,10 @@ def test_condition1_refutes_radius_mutant():
     assert F(v.witness["distance"]) >= F(v.witness["bound"])
     assert v.to_json() == (
         '{"diagnostics": "sampled point violates the quadruple\'s promise", '
-        '"outcome": "counter_example", "samples": 4, "seed": 0, "witness": '
-        '{"bound": "1", "distance": "3198388/1889499", "oracle_value": "3198388/1889499", '
+        '"outcome": "counter_example", "samples": 3, "seed": 0, "witness": '
+        '{"bound": "1", "distance": "1525061/27", "oracle_value": "1525061/27", '
         '"quad": {"a": ["0", "1"], "b": "0", "m": 0, "n": 0}, '
-        '"xi": ["3997985/4194304", "9447495/16777216"]}}'
+        '"xi": ["16775671/16777216", "297/16777216"]}}'
     )
 
 
@@ -236,7 +256,7 @@ def test_condition1_refutes_distance_equal_to_bound():
     target = Quadruple((F(0),), 0, F(1), 0)
     edge = DecidableSystem(lambda q: q == target, 1, name="square-edge")
     v = verify_condition1(edge, squaring_oracle(), quad_samples=1)
-    assert v.outcome is Outcome.COUNTER_EXAMPLE
+    assert v.outcome is Outcome.COUNTER_EXAMPLE and v.proved == 0  # 0 is reached inside
     assert v.witness["xi"] == ["0"] and v.witness["distance"] == v.witness["bound"] == "1"
 
 
@@ -272,21 +292,123 @@ def test_condition1_refutes_cosine_mutant():
     )
 
 
-# --- the Lipschitz ball certificate and margin refinement ---------------------------
+# --- enclosures, proved balls and margin refinement ---------------------------------
+
+def _plain(oracle):
+    """The same oracle without an enclosure: every ball is sampled."""
+    return RefOracle(oracle.eval, oracle.domain_test, oracle.exact, oracle.name, oracle.dim)
+
+
+def _interior(t):
+    return -1 < t < 1
+
+
+_UNIT = st.fractions(min_value=-1, max_value=1, max_denominator=10**4).filter(_interior)
+_CENTER = st.fractions(min_value=-8, max_value=8, max_denominator=50)
+
+
+def _end(pair):
+    return F(*pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CENTER, _CENTER, st.integers(min_value=0, max_value=30), _UNIT, _UNIT)
+@example(F(1), F(1, 3), 2, F(0), F(1, 2))  # the closed x2-side ends at 0
+@example(F(-2, 3), F(-3, 2), 1, F(1, 2), F(-1, 3))
+@example(F(1, 4), F(5), 0, F(-1, 2), F(1, 2))  # x1-side holds 0
+def test_division_enclosure_holds_on_the_open_box(a1, a2, m, t1, t2):
+    box = division_oracle().enclose((a1, a2), m, F(0))
+    r = F(1, m + 1)
+    corners = [(a1 + s1 * r) / (a2 + s2 * r) for s1 in (1, -1) for s2 in (1, -1)
+               if a2 + s2 * r != 0]
+    if abs(a2) <= r:  # the closed x2-side holds 0
+        assert box is None
+        return
+    assert (_end(box.lo), _end(box.hi)) == (min(corners), max(corners))
+    assert box.lo_open and box.hi_open
+    x = (a1 + t1 * r) / (a2 + t2 * r)  # a point of the open box
+    assert _end(box.lo) < x < _end(box.hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CENTER, st.integers(min_value=0, max_value=30), _UNIT)
+@example(F(1, 3), 2, F(-1, 2))  # the closed interval ends at 0
+@example(F(0), 0, F(0))  # 0 is reached inside, at the center
+def test_square_enclosure_holds_on_the_open_interval(a, m, t):
+    box = squaring_oracle().enclose((a,), m, F(0))
+    r = F(1, m + 1)
+    ends = [(a - r) ** 2, (a + r) ** 2]
+    holds_zero = a - r < 0 < a + r
+    assert (_end(box.lo), _end(box.hi)) == (0 if holds_zero else min(ends), max(ends))
+    assert box.lo_open is not holds_zero and box.hi_open
+    x = (a + t * r) ** 2  # a point of the open interval
+    assert _end(box.lo) <= x < _end(box.hi)
+    assert x > _end(box.lo) or not box.lo_open
+    if holds_zero:  # 0 is reached inside, at x = 0
+        assert _interior(-a / r)
+
+
+@pytest.mark.parametrize("system, oracle", [
+    (division_system, division_oracle),
+    (maximal_division_system, division_oracle),
+    (squaring_system, squaring_oracle),
+], ids=["division", "maximal-division", "square"])
+def test_proved_members_pass_the_grid_check(system, oracle):
+    members = system().members_prefix(100)
+    for q in members:
+        v = verify_condition1(_Listed(q, dim=len(q.a)), oracle(), 1, 10)
+        assert v.outcome is Outcome.PASS and v.proved == 1 and v.samples == 10, q
+        assert brute_force_condition1_check(q.a, q.m, q.b, q.n, oracle(), grid=6), q
+
+
+def test_corner_touching_the_bound_is_proved():
+    # x1/x2 over the box [-1/2, 1/2] x [1/2, 3/2] reaches -1 and 1 at two
+    # corners only, so |0 - x1/x2| < 1 holds on the open box
+    q = Quadruple((F(0), F(1)), 1, F(0), 0)
+    assert maximal_division_system().decide(q)
+    box = division_oracle().enclose(q.a, q.m, F(0))
+    assert (_end(box.lo), _end(box.hi)) == (-1, 1)
+    oracle, asked = _counting(division_oracle())
+    v = verify_condition1(_Listed(q, dim=2), oracle, 1, 10)
+    assert v.outcome is Outcome.PASS and v.proved == 1 and asked == []
+
+
+class _Touching(RefOracle):
+    """The constant 0, whose enclosure [-1 + eps, 1 - eps] claims both ends
+    are reached only on the boundary."""
+
+    def enclose(self, a, m, eps):
+        en, ed = eps.as_integer_ratio()
+        return verify.Enclosure((en - ed, ed), (ed - en, ed), True, True)
+
+
+@pytest.mark.parametrize("exact, proved", [(True, True), (False, False)])
+def test_open_ends_may_touch_the_bound_only_for_an_exact_oracle(exact, proved):
+    # at (0, 0, 0, 0) an exact oracle's enclosure [-1, 1] touches the bound 1
+    # at ends it never reaches; with eps = 1/10 the audit needs room eps
+    oracle = _Touching(lambda xi, eps: F(0), lambda xi: True, exact=exact, name="zero", dim=1)
+    v = verify_condition1(_Listed(Quadruple((F(0),), 0, F(0), 0)), oracle, 1, 3)
+    assert v.outcome is Outcome.PASS and v.proved == proved
+
+
+def test_division_and_square_prove_every_default_member():
+    for system, oracle in ((division_system(), division_oracle()),
+                           (maximal_division_system(), division_oracle()),
+                           (squaring_system(), squaring_oracle())):
+        v = verify_condition1(system, oracle)
+        assert (v.outcome, v.proved, v.samples) == (Outcome.PASS, 1000, 10000), system.name
+        assert v.to_json() == verify_condition1(system, _plain(oracle)).to_json()
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
        st.fractions(min_value=-20, max_value=20, max_denominator=10**6))
 def test_cosine_oracle_lipschitz_constant_holds(x, y):
+    # the cosine enclosure c +- (1/(m+1) + 2 eps) rests on L = 1
     oracle = cosine_oracle()
     eps = F(1, 10**6)
     cx, cy = oracle.eval((x,), eps), oracle.eval((y,), eps)
-    assert abs(cx - cy) <= oracle.lipschitz * abs(x - y) + 2 * eps
-
-
-def test_lipschitz_constant_is_not_negative():
-    with pytest.raises(DomainError):
-        dataclasses.replace(cosine_oracle(), lipschitz=F(-1))
+    assert abs(cx - cy) <= abs(x - y) + 2 * eps
 
 
 def _counting(oracle):
@@ -318,7 +440,7 @@ _CERTIFICATE_CASES = [
 def test_lipschitz_certificate_keeps_every_verdict(predicate, seed, xi, quads):
     system = cosine_system() if predicate is None else DecidableSystem(predicate, 1, name="cosine-lax")
     certified, calls = _counting(cosine_oracle())
-    sampled, sampled_calls = _counting(dataclasses.replace(cosine_oracle(), lipschitz=None))
+    sampled, sampled_calls = _counting(_plain(cosine_oracle()))
     v = verify_condition1(system, certified, quads, xi, seed)
     assert v.to_json() == verify_condition1(system, sampled, quads, xi, seed).to_json()
     assert len(calls) <= len(sampled_calls)
@@ -327,18 +449,19 @@ def test_lipschitz_certificate_keeps_every_verdict(predicate, seed, xi, quads):
 def test_lipschitz_certificate_skips_most_oracle_calls():
     oracle, calls = _counting(cosine_oracle())
     v = verify_condition1(cosine_system(), oracle, quad_samples=300, xi_samples=10)
-    assert v.samples == 3000
-    # one call per ball at its center, nine more for each uncertified one
+    assert v.samples == 3000 and v.proved > 150
+    # one call per ball at its center, nine more for each unproved one
     assert len(calls) < v.samples / 2
 
 
 class _Listed:
     """A stand-in system whose enumeration prefix is the given quadruples."""
 
-    name, dim_in = "listed", 1
+    name = "listed"
 
-    def __init__(self, *quads):
+    def __init__(self, *quads, dim=1):
         self.quads = list(quads)
+        self.dim_in = dim
 
     def members_prefix(self, count, scan_cap=None):
         return self.quads[:count]
@@ -351,13 +474,16 @@ class _Listed:
     (F(-1, 2), False),
 ])
 def test_ball_certificate_needs_three_eps_to_spare(b, certified):
-    # f(x) = x with L = 1, from an oracle that errs by +eps, as its contract
-    # allows.  For (a, m, n) = (0, 9, 0), eps = 1/10 and the center's value
-    # c = 1/10, |b - c| + 1/10 + 3/10 < 1 certifies exactly -1/2 < b < 7/10.
-    oracle, asked = _counting(RefOracle(lambda xi, eps: xi[0] + eps, lambda xi: True,
-                                        exact=False, name="identity", dim=1, lipschitz=F(1)))
+    # f(x) = x, 1-Lipschitz like cos, so the cosine oracle's enclosure holds
+    # for it, from an oracle that errs by +eps, as its contract allows.  For
+    # (a, m, n) = (0, 9, 0), eps = 1/10 and the center's value c = 1/10, the
+    # enclosure c +- 3/10 lies inside (b - 1 + 1/10, b + 1 - 1/10) exactly
+    # for -1/2 < b < 7/10.
+    identity = dataclasses.replace(cosine_oracle(), eval=lambda xi, eps: xi[0] + eps, name="identity")
+    oracle, asked = _counting(identity)
     v = verify_condition1(_Listed(Quadruple((F(0),), 9, b, 0)), oracle, 1, 10)
     assert v.outcome is Outcome.PASS and v.samples == 10
+    assert v.proved == certified
     assert len(asked) == (1 if certified else 10)
 
 
@@ -415,6 +541,17 @@ def test_condition2_division_at_one_third():
     v = verify_condition2(division_system(), division_oracle(), (F(1), F(3)), 4)
     assert v.outcome is Outcome.PASS
     assert v.diagnostics == "m=2 serves all sampled points"
+
+
+def test_condition2_coerces_the_point_and_asks_the_oracle_at_it_once():
+    # integer coordinates used to divide as floats, so no candidate was a member
+    for xi in ((1, 3), ("1", "3"), (F(1), F(3))):
+        oracle, asked = _counting(division_oracle())
+        v = verify_condition2(division_system(), oracle, xi, 4)
+        assert (v.outcome, v.samples) == (Outcome.PASS, 8)
+        assert v.diagnostics == "m=2 serves all sampled points"
+        # once at xi, and at each sampled a but the center of each ball, xi itself
+        assert asked.count((F(1), F(3))) == 1 and len(asked) == 6
 
 
 def test_condition2_inconclusive_when_m_cap_too_small():
