@@ -69,9 +69,10 @@ def as_point(value: Union[Point, Sequence[RatLike], RatLike]) -> Point:
 
 
 def rat_div(x: Rat, y: Rat) -> Rat:
-    if y == 0:
+    (px, qx), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
+    if py == 0:
         raise DomainError("division by zero")
-    return x / y
+    return Fraction(px * qy, qx * py)
 
 
 def decimal_str(x: Rat, digits: int) -> str:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from .core import DecidableSystem, Quadruple
 from .errors import FormatError
-from .numerics import Point, Rat
+from .numerics import Point, Rat, rat_div
 
 # --- division ----------------------------------------------------------------
 
@@ -39,10 +38,7 @@ def _division_decide(q: Quadruple) -> bool:
 
 
 def _division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
-    a1, a2 = a
-    if a2 == 0:
-        return None
-    return a1 / a2
+    return rat_div(*a) if a[1] else None
 
 
 @lru_cache(maxsize=None)
@@ -58,43 +54,18 @@ def division_system() -> DecidableSystem:
 
 # --- maximal division ---------------------------------------------------------
 
-def _maximal_division_decide(q: Quadruple) -> bool:
-    # Accept iff the quotient's range over the *closed* ball of radius
-    # 1/(m+1) around a sits inside the closed interval of radius 1/(n+1)
-    # around b.  The range of (a1 + s)/(a2 + t) over |s|,|t| <= 1/(m+1) is
-    # spanned by the four corner values once the denominator is bounded away
-    # from zero, i.e. (m+1)|a2| > 1.  With M = m+1, N = n+1, a1 = p1/q1,
-    # a2 = p2/q2 and b = pb/qb, the corner (M a1 + e1)/(M a2 + e2) is x/y
-    # for x = (M p1 + e1 q1) q2 and y = (M p2 + e2 q2) q1 != 0, and
-    # |x/y - b| <= 1/N is tested multiplied by N qb |y| > 0, on integers:
-    # N |x qb - pb y| <= qb |y|.
-    a1, a2 = q.a
-    p1, q1 = a1.as_integer_ratio()
-    p2, q2 = a2.as_integer_ratio()
-    pb, qb = q.b.as_integer_ratio()
-    M, N = q.m + 1, q.n + 1
-    if M * abs(p2) <= q2:
-        return False
-    for e1 in (1, -1):
-        x = (M * p1 + e1 * q1) * q2
-        for e2 in (1, -1):
-            y = (M * p2 + e2 * q2) * q1
-            if N * abs(x * qb - pb * y) > qb * abs(y):
-                return False
-    return True
+def _quotient_range(a: Point, m: int) -> Optional[Tuple[int, int, int, int]]:
+    """(x_lo, y_lo, x_hi, y_hi), y > 0, for the least x_lo/y_lo and the greatest
+    x_hi/y_hi of (a1 + s)/(a2 + t) over |s|, |t| <= 1/(m+1); None unless
+    (m+1)|a2| > 1 bounds the denominator away from zero.
 
-
-def _maximal_division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
-    # The midpoint of the least and the greatest corner, which decide
-    # accepts whenever it accepts any b.  On the integer corners x/y of
-    # _maximal_division_decide: (a1, a2) and (-a1, -a2) have the same
-    # corners, so take p2 > 0; then both y are positive, y+ > y-, and the
-    # corner with e1 = 1 is the greater at each y.  Cross-multiplied,
-    # x/y- >= x/y+ iff x >= 0, which picks the greatest corner of the
-    # e1 = 1 pair and the least of the e1 = -1 pair.
-    a1, a2 = a
-    p1, q1 = a1.as_integer_ratio()
-    p2, q2 = a2.as_integer_ratio()
+    The extremes are corners.  With M = m+1, a1 = p1/q1, a2 = p2/q2 and
+    p2 > 0, as (-a1, -a2) has the same corners, the corner
+    (M a1 + e1)/(M a2 + e2) is x/y for x = (M p1 + e1 q1) q2 and
+    y = (M p2 + e2 q2) q1 > 0.  e1 = 1 gives the greater x, and for the y
+    of e2 = -1 and 1, y- < y+, x/y- >= x/y+ iff x >= 0.
+    """
+    (p1, q1), (p2, q2) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
     M = m + 1
     if M * abs(p2) <= q2:
         return None
@@ -102,8 +73,26 @@ def _maximal_division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
         p1, p2 = -p1, -p2
     x_hi, x_lo = (M * p1 + q1) * q2, (M * p1 - q1) * q2
     y_big, y_small = (M * p2 + q2) * q1, (M * p2 - q2) * q1
-    y_hi = y_small if x_hi >= 0 else y_big
-    y_lo = y_big if x_lo >= 0 else y_small
+    return x_lo, y_big if x_lo >= 0 else y_small, x_hi, y_small if x_hi >= 0 else y_big
+
+
+def _maximal_division_decide(q: Quadruple) -> bool:
+    # Accept iff the quotient's range over the *closed* ball of radius 1/(m+1)
+    # around a lies in [b - 1/N, b + 1/N] for N = n+1 and b = pb/qb: two end
+    # tests, multiplied by N qb y > 0 to run on integers.
+    if (ends := _quotient_range(q.a, q.m)) is None:
+        return False
+    x_lo, y_lo, x_hi, y_hi = ends
+    pb, qb = q.b.as_integer_ratio()
+    N = q.n + 1
+    return N * (pb * y_lo - x_lo * qb) <= qb * y_lo and N * (x_hi * qb - pb * y_hi) <= qb * y_hi
+
+
+def _maximal_division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
+    # The range's midpoint, which decide accepts whenever it accepts any b.
+    if (ends := _quotient_range(a, m)) is None:
+        return None
+    x_lo, y_lo, x_hi, y_hi = ends
     return Fraction(x_hi * y_lo + x_lo * y_hi, 2 * y_hi * y_lo)
 
 
@@ -160,8 +149,8 @@ def _exact_dyadic(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
 
 @lru_cache(maxsize=65536)
 def _cos_power_term(a: Rat, k: int) -> Rat:
-    """a^(2k) / (2k)!"""
-    return a ** (2 * k) / math.factorial(2 * k)
+    """a^(2k) / (2k)!, a Fraction also for an int a."""
+    return Fraction(a) ** (2 * k) / math.factorial(2 * k)
 
 
 def _half_term(a: Rat, k: int) -> Rat:
@@ -474,11 +463,13 @@ def load_formula(path) -> Tuple[Formula, int]:
 # --- the witness: a cylindrical decomposition of the b-line -------------------
 
 def _sign_at(p, x: Rat) -> int:
-    """sign(p(x)) for p = [c_0, c_1, ..], by Horner's rule on den(x)^deg * p(x)."""
+    """sign(p(x)) for p = [c_0, .., c_d], by Horner's rule on the integer
+    den(x)^d * p(x) = sum_e c_e * num(x)^e * den(x)^(d - e)."""
+    num, den = x.as_integer_ratio()
     acc, scale = 0, 1
     for c in reversed(p):
-        acc = acc * x.numerator + c * scale
-        scale *= x.denominator
+        acc = acc * num + c * scale
+        scale *= den
     return (acc > 0) - (acc < 0)
 
 
@@ -588,9 +579,9 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     """System whose members are the quadruples satisfying `formula`.
 
     The formula is evaluated exactly at (a_1, ..., a_N, b, u, v) with
-    u = 1/(m+1) and v = 1/(n+1), in integers: b = pb/qb enters each atom as
-    sum_e c_e * pb^e * qb^(deg - e) (see _compile), a positive multiple of
-    its value.  Soundness is the formula author's burden; the verifier
+    u = 1/(m+1) and v = 1/(n+1), in integers: each atom is a polynomial
+    in b with the integer coefficients of _compile, whose sign at b
+    _sign_at takes.  Soundness is the formula author's burden; the verifier
     module exists to audit it.
 
     The witness is a one-variable cylindrical decomposition (Collins 1975):
@@ -606,11 +597,8 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     row_of = {id(at): i for i, at in enumerate(atoms)}
 
     def decide(q: Quadruple) -> bool:
-        pb, qb = q.b.as_integer_ratio()
-        bpows = [pb ** e * qb ** (deg - e) for e in range(deg + 1)]
         rows = coefficients(q.a, q.m, q.n)
-        return _holds(formula, lambda at: _sign_holds(
-            at.op, sum(map(operator.mul, rows[row_of[id(at)]], bpows))))
+        return _holds(formula, lambda at: _sign_holds(at.op, _sign_at(rows[row_of[id(at)]], q.b)))
 
     def witness(a: Point, m: int, n: int) -> Optional[Rat]:
         rows = coefficients(a, m, n)

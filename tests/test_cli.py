@@ -305,6 +305,15 @@ def test_verify_with_condition2(capsys):
     assert "m=2 serves all sampled points" in out
 
 
+def test_verify_exits_4_when_no_m_serves_condition2(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--system", "division", "--quads", "5", "--cond2-xi", "1,0",
+    )
+    assert code == 4
+    assert "condition2: outcome = inconclusive" in out
+    assert "condition2: no m <= 60 served every sample within the budget" in out
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run(
         capsys, "verify", "--system", "division", "--quads", "40",

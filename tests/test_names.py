@@ -154,3 +154,5 @@ def test_wrong_dimension_detected():
 def test_negative_index_rejected():
     with pytest.raises(IndexError):
         name_of_point((F(0),)).approx(-1)
+    with pytest.raises(IndexError):
+        OrdinaryName(lambda i: (F(i),), dim=1).approx(-1)

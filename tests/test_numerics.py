@@ -19,6 +19,7 @@ from approxsys.numerics import (
     encode_point,
     encode_rat,
     encode_tuple,
+    rat_div,
 )
 
 naturals = st.integers(min_value=0, max_value=10**6)
@@ -168,6 +169,13 @@ def test_dist_metric_axioms(p, q, r):
 def test_dist_dimension_mismatch():
     with pytest.raises(DimensionError):
         dist((F(1),), (F(1), F(2)))
+    with pytest.raises(DimensionError, match="zero-dimensional"):
+        dist((), ())
+
+
+def test_rat_div_refuses_zero():
+    with pytest.raises(DomainError, match="division by zero"):
+        rat_div(F(1), F(0))
 
 
 # --- parsing and printing -------------------------------------------------------
@@ -212,6 +220,11 @@ def test_decimal_str_frozen():
     assert decimal_str(F(1, 2), 0) == "0"
     assert decimal_str(F(9, 4), 2) == "2.25"
     assert decimal_str(F(-1, 8), 2) == "-0.12"
+
+
+def test_decimal_str_refuses_negative_digits():
+    with pytest.raises(FormatError, match="digits must be >= 0"):
+        decimal_str(F(1, 3), -1)
 
 
 @given(rationals, st.integers(min_value=0, max_value=12))

@@ -32,7 +32,7 @@ from approxsys.systems import (
     squaring_formula,
     squaring_system,
 )
-from approxsys.verify import cos_taylor
+from approxsys.verify import cos_taylor, division_oracle
 from conftest import corners
 
 # --- division ------------------------------------------------------------
@@ -217,6 +217,19 @@ def test_sigma_frozen_values():
     assert sigma_k(F(1), 3) == F(779, 1440)
     assert sigma_k(F(1), 4) == F(4841, 8960)
     assert sigma_k(F(0), 1) == F(1)
+
+
+@pytest.mark.parametrize("ints", [(1, 3), (-2, 7)])
+def test_integer_coordinates_give_exact_fractions(ints):
+    calls = {
+        "sigma_k": lambda a: sigma_k(a[0], 3),
+        "cosine witness": lambda a: cosine_system().witness(a[:1], 10, 3),
+        "division witness": lambda a: division_system().witness(a, 0, 0),
+        "division oracle": lambda a: division_oracle().eval(a, F(0)),
+    }
+    for label, call in calls.items():
+        got, want = call(ints), call(tuple(map(F, ints)))
+        assert type(got) is F and got == want, label
 
 
 def test_sigma_midpoint_error_bound():
@@ -492,6 +505,7 @@ BAD_DOCS = [
     {"vars": 1, "formula": {"op": ">", "poly": [["1/-2", [0, 0, 0, 0]]]}},
     {"vars": 1, "formula": {"op": ">", "poly": [["one", [0, 0, 0, 0]]]}},
     {"vars": 1, "formula": {"op": "==", "poly": []}},
+    {"vars": 1, "formula": {"op": ">", "poly": [[1, "0000"]]}},
 ]
 
 
