@@ -1,7 +1,8 @@
-"""Built-in approximation systems: division, cosine, and semialgebraic sets.
+"""Built-in approximation systems: division, maximal division, cosine and
+square, and semialgebraic systems defined by a formula.
 
-Each system is a decidable quadruple predicate wrapped by dovetailing; the
-constructors return shared singletons so enumeration caches are reused.
+Each system is a decidable quadruple predicate, which DecidableSystem scans;
+the constructors return shared singletons so enumeration caches are reused.
 """
 
 from __future__ import annotations
@@ -109,40 +110,36 @@ def maximal_division_system() -> DecidableSystem:
 
 # --- simplest dyadics ------------------------------------------------------------
 
+def _simplest_on_grid(A, B, k: int) -> Rat:
+    """The simplest of the dyadics j/2^k, A <= j <= B: the integer of least
+    magnitude if one is among them, else the j/2^i with the least i, which
+    is unique (two neighbours on the 2^-i grid include one on the 2^-(i-1)
+    grid).  At k = 0 either end may be infinite.
+
+    The simplest is the j with the most trailing zeros: B cut below the
+    highest bit where A - 1 and B differ.  When A..B are all the grid
+    points inside an interval, the pick is the same at every such k.
+    """
+    if A <= 0 <= B:
+        return Fraction(0)
+    if B < 0:
+        return -_simplest_on_grid(-B, -A, k)
+    j = -(-A >> k)  # the least integer at or above A/2^k
+    if j << k <= B:
+        return Fraction(j)
+    h = ((A - 1) ^ B).bit_length() - 1
+    return Fraction(B >> h, 1 << (k - h))
+
+
 def _dyadic_between(lo: int, hi: int, t: int) -> Rat:
-    """The simplest dyadic strictly inside (lo/t, hi/t), lo < hi and t > 0: the
-    integer of least magnitude if one lies inside, else the j/2^k with the
-    least k, which is unique (two neighbours on the 2^-k grid include one on
-    the 2^-(k-1) grid).
+    """The simplest dyadic strictly inside (lo/t, hi/t), lo < hi and t > 0.
 
     2^K > t/(hi - lo) widens the scaled interval past 1, so the integers A..B
-    strictly inside it are not empty.  They are the interval's dyadics of
-    denominator dividing 2^K, and the simplest is the one with the most
-    trailing zeros: B cut below the highest bit where A - 1 and B differ.
+    strictly inside it are not empty; they are the interval's dyadics of
+    denominator dividing 2^K.
     """
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -_dyadic_between(-hi, -lo, t)
-    j = lo // t + 1  # the least integer above lo/t
-    if j * t < hi:
-        return Fraction(j)
     K = (t // (hi - lo)).bit_length()
-    A = (lo << K) // t + 1
-    B = -((-hi << K) // t) - 1
-    h = ((A - 1) ^ B).bit_length() - 1
-    return Fraction(B >> h, 1 << (K - h))
-
-
-def _exact_dyadic(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
-    """The simplest dyadic strictly between exact ends lo < hi (None: an
-    infinite end, which always admits the integer of least magnitude)."""
-    if lo is None:
-        return Fraction(0) if hi is None or hi > 0 else Fraction(math.ceil(hi) - 1)
-    if hi is None:
-        return Fraction(0) if lo < 0 else Fraction(math.floor(lo) + 1)
-    return _dyadic_between(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
-                           lo.denominator * hi.denominator)
+    return _simplest_on_grid((lo << K) // t + 1, -((-hi << K) // t) - 1, K)
 
 
 # --- cosine -------------------------------------------------------------------
@@ -287,17 +284,25 @@ def atom(op: str, *monomials) -> Atom:
     return Atom(op, tuple((c, tuple(e)) for c, e in monomials))
 
 
-def _holds(formula: Formula, atom_holds: Callable[[Atom], bool]) -> bool:
-    """Truth of a formula, given the truth of each of its atoms."""
+def _truth(formula: Formula, row_of) -> Callable[[List[List[int]], Rat], bool]:
+    """holds(rows, b), the formula's truth at b: rows[row_of[id(atom)]] is
+    the atom's row in _compile's evaluator, and _sign_at takes its sign."""
     if isinstance(formula, Atom):
-        return atom_holds(formula)
+        i, strict = row_of[id(formula)], formula.op == ">"
+        return lambda rows, b: _sign_at(rows[i], b) >= strict
     if isinstance(formula, FNot):
-        return not _holds(formula.arg, atom_holds)
+        arg = _truth(formula.arg, row_of)
+        return lambda rows, b: not arg(rows, b)
+    args = [_truth(f, row_of) for f in formula.args]
     decisive = isinstance(formula, FOr)  # the value that ends an or (and)
-    for f in formula.args:
-        if _holds(f, atom_holds) is decisive:
-            return decisive
-    return not decisive
+
+    def holds(rows: List[List[int]], b: Rat) -> bool:
+        for f in args:
+            if f(rows, b) is decisive:
+                return decisive
+        return not decisive
+
+    return holds
 
 
 def _atoms(formula: Formula) -> Iterator[Atom]:
@@ -316,18 +321,16 @@ def _atoms(formula: Formula) -> Iterator[Atom]:
         raise FormatError(f"not a formula node: {formula!r}")
 
 
-def _sign_holds(op: str, sign) -> bool:
-    return sign > 0 if op == ">" else sign >= 0
-
-
 def _compile(formula: Formula, dim: int):
-    """The formula's atoms, its degree deg >= 1 in b, and their integer evaluator.
+    """(coefficients, holds): the formula's integer evaluator and its truth test.
 
-    coefficients(a, m, n) gives per atom [c_0, .., c_deg] with D * atom =
-    sum_e c_e * b^e, where D = prod_x den(x)^top(x) > 0 over x in
-    (a_1..a_N, u, v) and top(x) is x's largest exponent in the formula:
+    coefficients(a, m, n) gives per atom [c_0, .., c_deg], for deg >= 1 the
+    formula's degree in b, with D * atom = sum_e c_e * b^e, where
+    D = prod_x den(x)^top(x) > 0 over x in (a_1..a_N, u, v) and top(x) is
+    x's largest exponent in the formula:
     monomial coef * prod_x x^e adds coef * prod_x num(x)^e * den(x)^(top(x) - e)
     to c at b's exponent.  Scaling by D keeps every sign and every root in b.
+    holds(rows, b), for rows = coefficients(a, m, n), is the formula's truth at b.
     """
     atoms = list(_atoms(formula))
     others = [i for i in range(dim + 3) if i != dim]
@@ -352,7 +355,7 @@ def _compile(formula: Formula, dim: int):
             rows.append(c)
         return rows
 
-    return atoms, deg, coefficients
+    return coefficients, _truth(formula, {id(at): i for i, at in enumerate(atoms)})
 
 
 def _validate_formula(formula: Formula, nvars: int):
@@ -466,10 +469,10 @@ def _sign_at(p, x: Rat) -> int:
     """sign(p(x)) for p = [c_0, .., c_d], by Horner's rule on the integer
     den(x)^d * p(x) = sum_e c_e * num(x)^e * den(x)^(d - e)."""
     num, den = x.as_integer_ratio()
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
+    acc, scale = p[-1], 1
+    for c in p[-2::-1]:
         scale *= den
+        acc = acc * num + c * scale
     return (acc > 0) - (acc < 0)
 
 
@@ -496,13 +499,14 @@ def _rem(f, g):
 
 class _Root:
     """A real root: exactly lo when lo is hi, else the only root in (lo, hi)
-    of a polynomial whose sign, sign(x), changes there; lo, hi are no roots."""
+    of a polynomial whose sign, sign(x), changes there; lo, hi are no roots.
+    An exact root carries no sign function."""
 
     __slots__ = ("sign", "lo", "hi", "left")
 
-    def __init__(self, sign, lo: Rat, hi: Rat):
+    def __init__(self, lo: Rat, hi: Rat, sign=None):
         self.sign, self.lo, self.hi = sign, lo, hi
-        self.left = sign(lo)  # the sign below the root
+        self.left = sign and sign(lo)  # the sign below the root
 
     def grid(self, k: int) -> Tuple[int, int]:
         """The greatest j with j/2^k below the root and the least one above."""
@@ -526,7 +530,8 @@ class _Root:
         """The root if rational.  Rationals of denominator <= c, a bound for
         the root's, lie 1/c^2 apart, so one nearest the middle of a narrower
         (lo, hi) is the only candidate."""
-        self.grid(2 * c.bit_length())
+        if self.lo is not self.hi:
+            self.grid(2 * c.bit_length())
         if self.lo is self.hi:
             return self.lo
         x = ((self.lo + self.hi) / 2).limit_denominator(c)
@@ -554,7 +559,7 @@ def _isolated_roots(p: List[int]) -> List[_Root]:
         lo, hi = todo.pop()
         count = changes(lo) - changes(hi)
         if count == 1:
-            roots.append(_Root(lambda x: _sign_at(p, x) * _sign_at(chain[-1], x), lo, hi))
+            roots.append(_Root(lo, hi, lambda x: _sign_at(p, x) * _sign_at(chain[-1], x)))
         elif count > 1:
             mid = (lo + hi) / 2
             while not _sign_at(p, mid):
@@ -564,15 +569,16 @@ def _isolated_roots(p: List[int]) -> List[_Root]:
 
 
 def _simplest_dyadic(lo: Optional[_Root], hi: Optional[_Root]) -> Rat:
-    """_exact_dyadic for isolated roots lo < hi (None: an infinite end), found
-    level by level: the first grid 2^-k with a point between the roots."""
+    """The simplest dyadic strictly between roots lo < hi (None: an infinite
+    end): _simplest_on_grid of the grid points between the roots at the
+    first grid 2^-k, k = 0, 1, 2, 4, 8, .., that has one."""
     k = 0
     while True:
         first = -math.inf if lo is None else lo.grid(k)[1]
         last = math.inf if hi is None else hi.grid(k)[0]
         if first <= last:
-            return Fraction(min(max(0, first), last) if k == 0 else first, 1 << k)
-        k += 1
+            return _simplest_on_grid(first, last, k)
+        k = 2 * k or 1
 
 
 def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebraic") -> DecidableSystem:
@@ -588,52 +594,32 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     for given (a, m, n) the atoms' real roots in b cut the b-line into open
     cells of constant truth.  The roots are exact when every atom is linear
     in b there; otherwise Sturm sequences isolate all of them together.  It
-    returns the simplest dyadic of the first satisfied cell in b order
-    (O(log n) bits), else the first satisfying rational root, else None;
-    apply still certifies it through decide.
+    returns the simplest dyadic of the first cell in b order at which the
+    formula holds (O(log n) bits), else the first rational root at which it
+    holds, else None.  Truth at each point is decide's; apply still
+    certifies the witness through decide.
     """
     _validate_formula(formula, dim)
-    atoms, deg, coefficients = _compile(formula, dim)
-    row_of = {id(at): i for i, at in enumerate(atoms)}
+    coefficients, holds = _compile(formula, dim)
 
     def decide(q: Quadruple) -> bool:
-        rows = coefficients(q.a, q.m, q.n)
-        return _holds(formula, lambda at: _sign_holds(at.op, _sign_at(rows[row_of[id(at)]], q.b)))
+        return holds(coefficients(q.a, q.m, q.n), q.b)
 
     def witness(a: Point, m: int, n: int) -> Optional[Rat]:
         rows = coefficients(a, m, n)
-        curved = deg > 1 and any(any(c[2:]) for c in rows)
-        if curved:  # Sturm on the product of the rows in b; truth at a point
+        if any(any(c[2:]) for c in rows):  # Sturm on the product of the rows in b
             factors = [c[:max(e for e, v in enumerate(c) if v) + 1] for c in rows if any(c[1:])]
             roots = _isolated_roots(reduce(_mul, factors))
-            lc = max(abs(c[-1]) for c in factors)  # each rational root's denominator divides one
-
-            def atom_holds(at: Atom) -> bool:
-                return _sign_holds(at.op, _sign_at(rows[row_of[id(at)]], x))
-        else:
-            # Position p = 2i is the open cell below roots[i] (above all for
-            # i = len(roots)), 2i + 1 is roots[i].  A row with root roots[i]
-            # has the sign sign(c1) * sign(p - (2i + 1)), one free of b that of c0.
-            zeros = [Fraction(-c[0], c[1]) if c[1] else None for c in rows]
-            roots, places = [], [-1] * len(rows)
-            for i in sorted((i for i, z in enumerate(zeros) if z is not None), key=zeros.__getitem__):
-                if not roots or zeros[i] != roots[-1]:
-                    roots.append(zeros[i])
-                places[i] = 2 * len(roots) - 1
-            signed = {id(at): ((c[1] > 0) - (c[1] < 0) or (c[0] > 0) - (c[0] < 0), place)
-                      for at, c, place in zip(atoms, rows, places)}
-
-            def atom_holds(at: Atom) -> bool:
-                s, place = signed[id(at)]
-                return _sign_holds(at.op, s * ((p > place) - (p < place)))
-
-        for i, (lo, hi) in enumerate(zip([None, *roots], [*roots, None])):
-            p, x = 2 * i, _simplest_dyadic(lo, hi) if curved else None
-            if _holds(formula, atom_holds):
-                return x if curved else _exact_dyadic(lo, hi)
-        for i, r in enumerate(roots):
-            p, x = 2 * i + 1, r.rational(lc) if curved else r
-            if x is not None and _holds(formula, atom_holds):
+        else:  # every row is c0 + c1 b, with the exact root -c0/c1 if c1 != 0
+            factors = [c[:2] for c in rows if c[1]]
+            xs = sorted(Fraction(-c[0], c[1]) for c in factors)
+            roots = [_Root(x, x) for i, x in enumerate(xs) if not i or x != xs[i - 1]]
+        lc = max((abs(c[-1]) for c in factors), default=1)  # each rational root's denominator divides one
+        for lo, hi in zip([None, *roots], [*roots, None]):
+            if holds(rows, x := _simplest_dyadic(lo, hi)):
+                return x
+        for r in roots:
+            if (x := r.rational(lc)) is not None and holds(rows, x):
                 return x
         return None
 
@@ -685,5 +671,6 @@ def squaring_formula() -> Tuple[Formula, int]:
 
 @lru_cache(maxsize=None)
 def squaring_system() -> DecidableSystem:
+    """Approximation system for x |-> x^2, the formula squaring_formula()."""
     formula, nvars = squaring_formula()
     return semialgebraic_system(formula, nvars, name="square")

@@ -42,28 +42,32 @@ def unused_imports(source: str):
 
 def unreferenced_private_names(sources):
     """(module, line, name) for each module-level private binding in
-    `sources` (module name -> source) that no module reads."""
+    `sources` (module name -> source) that no module reads.  A read inside
+    the name's own definition, such as a recursive call, does not count."""
     bound = []
     read = set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
-                continue
+                names = []
             bound += [(module, node.lineno, name) for name in names
                       if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                if name not in names:
+                    read.add(name)
     return sorted(b for b in bound if b[2] not in read)
 
 
@@ -95,12 +99,15 @@ def test_unreferenced_private_name_is_reported():
                  "class _Spare:\n"
                  "    pass\n"
                  "_imported = _attr = 3\n"
-                 "__all__ = []\n"),
+                 "__all__ = []\n"
+                 "def _rec(x):\n"
+                 "    return _rec(x - 1) if x else 0\n"),
         "b.py": ("from .a import _helper, _imported\n"
                  "import a\n"
                  "a._attr\n"),
     }
-    assert unreferenced_private_names(sources) == [("a.py", 2, "_dead"), ("a.py", 5, "_Spare")]
+    assert unreferenced_private_names(sources) == [
+        ("a.py", 2, "_dead"), ("a.py", 5, "_Spare"), ("a.py", 9, "_rec")]
 
 
 def test_reimport_keeps_one_copy_of_each_module():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from approxsys.core import Membership, Quadruple, decode_quadruple
 from approxsys.errors import DimensionError, FormatError
@@ -15,8 +15,9 @@ from approxsys.systems import (
     FAnd,
     FNot,
     FOr,
+    _Root,
     _atoms,
-    _exact_dyadic,
+    _dyadic_between,
     _isolated_roots,
     _mul,
     _simplest_dyadic,
@@ -733,16 +734,19 @@ def dyadic_intervals(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(dyadic_intervals())
-def test_exact_dyadic_matches_the_grid_loop(ends):
+def test_simplest_dyadic_matches_the_grid_loop(ends):
     lo, hi = ends
     expected = simplest_dyadic_reference(lo, hi)
-    assert _exact_dyadic(lo, hi) == expected
+    assert _dyadic_between(lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                           lo.denominator * hi.denominator) == expected
+    (iso_lo,), (iso_hi,) = _isolated(lo), _isolated(hi)
+    for root_lo, root_hi in ((_Root(lo, lo), _Root(hi, hi)), (iso_lo, iso_hi)):
+        assert _simplest_dyadic(root_lo, root_hi) == expected
+        # an infinite end admits the integer of least magnitude
+        assert _simplest_dyadic(root_lo, None) == max(0, math.floor(lo) + 1)
+        assert _simplest_dyadic(None, root_hi) == min(0, math.ceil(hi) - 1)
     assert _simplest_dyadic(*_isolated(lo, hi)) == expected
-    # an infinite end admits the integer of least magnitude
-    (root_lo,), (root_hi,) = _isolated(lo), _isolated(hi)
-    assert _exact_dyadic(lo, None) == _simplest_dyadic(root_lo, None) == max(0, math.floor(lo) + 1)
-    assert _exact_dyadic(None, hi) == _simplest_dyadic(None, root_hi) == min(0, math.ceil(hi) - 1)
-    assert _exact_dyadic(None, None) == 0
+    assert _simplest_dyadic(None, None) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -804,6 +808,39 @@ LINEAR_ATOMS = st.builds(
 LINEAR_FORMULAS = formulas_of(LINEAR_ATOMS)
 
 
+def linear_roots(formula, a, m, n):
+    """The distinct roots -c0/c1 of the formula's atoms, linear in b at (a, m, n)."""
+    u, v = F(1, m + 1), F(1, n + 1)
+    roots = set()
+    for node in _atoms(formula):
+        c0 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 0), (a, F(0), u, v))
+        c1 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 1), (a, F(1), u, v))
+        if c1:
+            roots.add(-c0 / c1)
+    return sorted(roots)
+
+
+def linear_witness_reference(formula, a, m, n):
+    """The witness read off the exact roots: the first cell in b order whose
+    simplest dyadic (the integer of least magnitude at an infinite end)
+    satisfies the formula, else the first root that does, else None."""
+    roots = linear_roots(formula, a, m, n)
+
+    def holds(b):
+        return reference_decide(formula, Quadruple((a,), m, b, n))
+
+    for lo, hi in zip([None, *roots], [*roots, None]):
+        if lo is None:
+            x = F(0) if hi is None else F(min(0, math.ceil(hi) - 1))
+        elif hi is None:
+            x = F(max(0, math.floor(lo) + 1))
+        else:
+            x = simplest_dyadic_reference(lo, hi)
+        if holds(x):
+            return x
+    return next((r for r in roots if holds(r)), None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(LINEAR_FORMULAS, st.fractions(min_value=-4, max_value=4, max_denominator=9),
        st.integers(0, 6), st.integers(0, 6))
@@ -816,29 +853,32 @@ def test_linear_witness_sound_and_complete(formula, a, m, n):
         return
     # no b holds: truth is constant between roots, so try every root, a
     # point between each two neighbours and a point beyond either end
-    u, v = F(1, m + 1), F(1, n + 1)
-    roots = set()
-    for node in _atoms(formula):
-        c0 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 0), (a, F(0), u, v))
-        c1 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 1), (a, F(1), u, v))
-        if c1:
-            roots.add(-c0 / c1)
-    roots = sorted(roots) or [F(0)]
+    roots = linear_roots(formula, a, m, n) or [F(0)]
     probes = roots + [(r + s) / 2 for r, s in zip(roots, roots[1:])]
     probes += [roots[0] - 1, roots[-1] + 1]
     for b in probes:
         assert not system.decide(Quadruple((a,), m, b, n))
 
 
+def _b_equals(r):
+    """b = r as two linear atoms."""
+    one = (0, 0, 0, 0)
+    return FAnd((atom(">=", (r.denominator, B1), (-r.numerator, one)),
+                 atom(">=", (r.numerator, one), (-r.denominator, B1))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(LINEAR_FORMULAS, st.fractions(min_value=-4, max_value=4, max_denominator=9),
        st.integers(0, 6), st.integers(0, 6))
+@example(FOr((_b_equals(F(3, 2)), _b_equals(F(-1, 3)))), F(0), 0, 0)  # two roots hold, no cell
 def test_curved_path_agrees_with_linear_path(formula, a, m, n):
     # b^2 + 1 > 0 changes no truth but sends the witness through Sturm
-    # isolation, which must find the same cells, samples and roots
+    # isolation, which must find the same cells, samples and roots as the
+    # exact roots of the linear atoms
     curved = FAnd((formula, atom(">", (1, B2), (1, (0, 0, 0, 0)))))
-    assert (semialgebraic_system(curved, 1).witness((a,), m, n)
-            == semialgebraic_system(formula, 1).witness((a,), m, n))
+    expected = linear_witness_reference(formula, a, m, n)
+    assert semialgebraic_system(formula, 1).witness((a,), m, n) == expected
+    assert semialgebraic_system(curved, 1).witness((a,), m, n) == expected
 
 
 # --- dimension checks -----------------------------------------------------------
