@@ -22,7 +22,7 @@ from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import compress, islice
-from operator import itemgetter, length_hint
+from operator import itemgetter
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError
@@ -118,7 +118,6 @@ class ApproxSystem:
         self._prefix: List[Quadruple] = []
         self._codes = array("q")
         self._scanned = 0
-        self._feed = (0, iter(()))  # see _walk
         self._prefix_lock = threading.Lock()
 
     def _check_dim(self, a: Point):
@@ -162,13 +161,10 @@ class ApproxSystem:
 
         The scan of members_prefix.  Every walk calls its predicate (here
         enumerate, decide in DecidableSystem) once per code, in code order,
-        on the codes of an iterator `fed`, and keeps `(end, fed)` in
-        self._feed, so that while the call on code k runs,
-        k = end - 1 - length_hint(fed).
+        and never past the member the caller stops at.
         """
-        fed = iter(range(start, stop))
-        self._feed = (stop, fed)
-        return filter(itemgetter(1), zip(range(start, stop), map(self.enumerate, fed)))
+        codes = range(start, stop)
+        return filter(itemgetter(1), zip(codes, map(self.enumerate, codes)))
 
     def members_prefix(self, count: int, scan_cap: Optional[int] = None) -> List[Quadruple]:
         """First `count` members in enumeration order.
@@ -181,9 +177,10 @@ class ApproxSystem:
         earlier requests.  DomainError on a negative count or scan_cap.
 
         The loop below runs once per member found; the walk (_walk) does
-        the per-code work.  When the predicate raises, the scan resumes at
-        the code it raised on, read from the walk's self._feed, and never
-        before the last member listed.
+        the per-code work.  The scan position moves past each member as it
+        is listed, so when the predicate raises, the next request resumes
+        one past the last member listed and decides again the codes up to
+        the one that raised.
         """
         if count < 0 or (scan_cap is not None and scan_cap < 0):
             raise DomainError(f"count {count} and scan_cap {scan_cap} must be natural numbers")
@@ -192,15 +189,12 @@ class ApproxSystem:
         with self._prefix_lock:
             codes, prefix = self._codes, self._prefix
             if len(prefix) < count and self._scanned < scan_cap:
-                try:
-                    for code, q in islice(self._walk(self._scanned, scan_cap), count - len(prefix)):
-                        codes.append(code)
-                        prefix.append(q)
-                except BaseException:
-                    end, fed = self._feed
-                    self._scanned = max(end - 1 - length_hint(fed), codes[-1] + 1 if codes else 0)
-                    raise
-                self._scanned = codes[-1] + 1 if len(prefix) == count else scan_cap
+                for code, q in islice(self._walk(self._scanned, scan_cap), count - len(prefix)):
+                    codes.append(code)
+                    prefix.append(q)
+                    self._scanned = code + 1
+                if len(prefix) < count:
+                    self._scanned = scan_cap
             end = bisect_left(codes, scan_cap, 0, min(count, len(codes)))
             return prefix[:end]
 
@@ -268,10 +262,10 @@ class DecidableSystem(ApproxSystem):
         decodes one new point and one new tail into growing lists, and the
         quadruples of a diagonal's codes below stop are built from their
         entries in one pass, as one list `quads`.  compress keeps the members
-        by map(decide, fed) over fed = iter(quads): decide is looked up once,
-        here, as the bare predicate (every point decoded has dimension
-        dim_in), and called once per code, in code order, and never past the
-        member the caller stops at.  No other per-code work runs in Python.
+        by map(decide, quads): decide is looked up once, here, as the bare
+        predicate (every point decoded has dimension dim_in), and called once
+        per code, in code order, and never past the member the caller stops
+        at.  No other per-code work runs in Python.
         """
         decide, dim = self._predicate(), self.dim_in
         make = partial(tuple.__new__, Quadruple)
@@ -285,9 +279,7 @@ class DecidableSystem(ApproxSystem):
             end = min(stop, k + t + 1 - r)
             last = r + end - k
             quads = list(map(make, zip(points[i::-1], ms[r:last], bs[r:last], ns[r:last])))
-            fed = iter(quads)
-            self._feed = (end, fed)
-            yield from compress(zip(range(k, end), quads), map(decide, fed))
+            yield from compress(zip(range(k, end), quads), map(decide, quads))
             k = end
             t += 1
             i, r = t, 0

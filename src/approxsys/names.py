@@ -18,8 +18,14 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .numerics import Point, as_point, dist
+
+
+def _check_dim(dim: int) -> int:
+    if dim < 1:
+        raise DimensionError(f"name dimension {dim} must be positive")
+    return dim
 
 
 class _MemoSeq:
@@ -27,7 +33,7 @@ class _MemoSeq:
 
     def __init__(self, fun: Callable[[int], Point], dim: int):
         self._fun = fun
-        self.dim = dim
+        self.dim = _check_dim(dim)
         self._cache: dict[int, Point] = {}
         self._lock = threading.RLock()
 
@@ -59,7 +65,7 @@ class _ConstantName(OrdinaryName):
     """Ordinary name whose every index carries the same exact point."""
 
     def __init__(self, point: Point):
-        self.dim = len(point)
+        self.dim = _check_dim(len(point))
         self._point = point
 
     def approx(self, i: int) -> Point:
@@ -118,8 +124,10 @@ def check_name_consistency(f: OrdinaryName, upto: int):
     Any genuine name satisfies dist(f(i), f(k)) < 1/(i+1) + 1/(k+1) for all
     pairs (both points lie in a shared ball).  Returns the first violating
     (i, k) in lexicographic order, or None.  A None result is consistency up
-    to the horizon, not validity.
+    to the horizon, not validity.  DomainError on a negative horizon.
     """
+    if upto < 0:
+        raise DomainError(f"horizon {upto} must be a natural number")
     points = [f.approx(i) for i in range(upto + 1)]
     for i in range(upto + 1):
         for k in range(i + 1, upto + 1):

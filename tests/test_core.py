@@ -314,7 +314,7 @@ def test_decide_replaced_on_the_instance_is_called_once_per_membership_and_probe
     assert len(seen) == 50
 
 
-def test_members_prefix_resumes_at_the_code_whose_decide_raised():
+def test_members_prefix_resumes_one_past_the_last_member_listed():
     for code in (30, 28, 35):  # mid-diagonal 7, its first code, its last code
         calls, fail_at = 0, {code + 1}  # from code 0, call k + 1 decides code k
 
@@ -328,11 +328,30 @@ def test_members_prefix_resumes_at_the_code_whose_decide_raised():
         div = DecidableSystem(flaky_decide, 2)
         with pytest.raises(DomainError):
             div.members_prefix(10)
-        assert div._scanned == code  # code is decided again
+        assert div._scanned == 19  # one past division's member at code 18
+        raised_at = calls
         assert div.members_prefix(10) == division_system().members_prefix(10)
+        assert calls - raised_at == 79  # codes 19..97, the tenth member's code
         resumed = div._scanned  # the first code after a resume raises
         fail_at.add(calls + 1)
         with pytest.raises(DomainError):
             div.members_prefix(20)
         assert div._scanned == resumed
         assert div.members_prefix(20) == division_system().members_prefix(20)
+
+
+def test_generic_walk_resumes_one_past_the_last_member_listed():
+    class Flaky(_EnumerableFacade):
+        calls = 0
+
+        def enumerate(self, k):
+            self.calls += 1
+            if self.calls == 31:  # from code 0, call k + 1 lists code k
+                raise DomainError("flaky enumerate")
+            return super().enumerate(k)
+
+    flaky = Flaky()
+    with pytest.raises(DomainError):
+        flaky.members_prefix(10)
+    assert flaky._scanned == 19  # one past division's member at code 18
+    assert flaky.members_prefix(10) == division_system().members_prefix(10)

@@ -8,7 +8,8 @@ somewhere in the module.  `__init__.py` re-exports by importing, and
 `from __future__` imports switch on language features; both are exempt.
 A private name (`_x`, not a dunder) bound at module level by a def, class
 or assignment must be read, as a name, an attribute or an import, in some
-module of the package.
+module of the package, and so must a private attribute stored by an
+assignment such as `self._x = ...`.
 """
 
 import ast
@@ -71,6 +72,28 @@ def unreferenced_private_names(sources):
     return sorted(b for b in bound if b[2] not in read)
 
 
+def unread_private_attributes(sources):
+    """(module, line, name) for each store to a private attribute, as in
+    `self._x = ...`, whose name no module in `sources` reads as an
+    attribute, a name or a string constant (which covers getattr and
+    __slots__)."""
+    stored = []
+    read = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append((module, node.lineno, node.attr))
+                elif isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(s for s in stored
+                  if s[2].startswith("_") and not s[2].startswith("__") and s[2] not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -88,6 +111,12 @@ def test_package_reads_every_private_name():
     package = Path(approxsys.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_package_reads_every_private_attribute():
+    package = Path(approxsys.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unread_private_attributes(sources) == []
 
 
 def test_unreferenced_private_name_is_reported():
@@ -108,6 +137,26 @@ def test_unreferenced_private_name_is_reported():
     }
     assert unreferenced_private_names(sources) == [
         ("a.py", 2, "_dead"), ("a.py", 5, "_Spare"), ("a.py", 9, "_rec")]
+
+
+def test_unread_private_attribute_is_reported():
+    sources = {
+        "a.py": ("class C:\n"
+                 "    __slots__ = ('_slot',)\n"
+                 "    def __init__(self):\n"
+                 "        self._read = self._slot = self._got = 1\n"
+                 "        self._dead = 2\n"
+                 "        self._pair, self._half = 3, 4\n"
+                 "        self.__dunder__ = self.public = 5\n"
+                 "        self._named = 6\n"
+                 "    def f(self):\n"
+                 "        self._dead += 1\n"
+                 "        return self._read, getattr(self, '_got')\n"),
+        "b.py": ("def g(c):\n"
+                 "    return c._pair, _named\n"),
+    }
+    assert unread_private_attributes(sources) == [
+        ("a.py", 5, "_dead"), ("a.py", 6, "_half"), ("a.py", 10, "_dead")]
 
 
 def test_reimport_keeps_one_copy_of_each_module():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from approxsys.errors import DimensionError
+from approxsys.errors import DimensionError, DomainError
 from approxsys.names import (
     CauchyName,
     OrdinaryName,
@@ -115,6 +115,14 @@ def test_check_name_consistency_flags_corruption():
     assert check_name_consistency(OrdinaryName(fun, dim=1), 20) == (0, 9)
 
 
+def test_check_name_consistency_rejects_a_negative_horizon():
+    reads = []
+    f = OrdinaryName(lambda i: reads.append(i) or (F(0),), dim=1)
+    with pytest.raises(DomainError):
+        check_name_consistency(f, -3)
+    assert reads == []
+
+
 def test_memoization_computes_once():
     calls = []
 
@@ -156,3 +164,19 @@ def test_negative_index_rejected():
         name_of_point((F(0),)).approx(-1)
     with pytest.raises(IndexError):
         OrdinaryName(lambda i: (F(i),), dim=1).approx(-1)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_memoised_name_rejects_a_dimension_below_one_at_construction(dim):
+    calls = []
+    for cls in (OrdinaryName, CauchyName):
+        with pytest.raises(DimensionError):
+            cls(lambda i: calls.append(i) or (), dim=dim)
+    assert calls == []
+
+
+def test_constant_and_truncation_names_reject_the_empty_point():
+    with pytest.raises(DimensionError):
+        name_of_point(())
+    with pytest.raises(DimensionError):
+        dyadic_name(())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from approxsys import verify
-from approxsys.core import ApproxSystem, DecidableSystem, Quadruple
+from approxsys.core import ApproxSystem, DecidableSystem, Membership, Quadruple
 from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
     atom,
@@ -659,6 +659,34 @@ def test_containment_against_enumerable_sup():
     assert tight.outcome is Outcome.INCONCLUSIVE
     roomy = verify_containment(sub, _EnumerableDivision(), count=1, budget=4096)
     assert roomy.outcome is Outcome.PASS
+
+
+class _DecidingDivision(_EnumerableDivision):
+    """A generic system that sets decide: membership answers from it."""
+
+    name = "division-deciding"
+
+    def __init__(self):
+        super().__init__()
+        self.decide = division_system().decide
+
+
+def test_generic_membership_answers_from_decide_at_any_budget():
+    sup = _DecidingDivision()
+    far = division_system().members_prefix(300)[-1]
+    assert sup.membership(far, 0) is Membership.YES  # no code scanned
+    v = verify_containment(maximal_division_system(), sup, 100)
+    assert v.outcome is Outcome.COUNTER_EXAMPLE
+    assert v.diagnostics == "member #20 of maximal-division not accepted by division-deciding"
+
+
+def test_condition2_on_an_enumerable_only_system_has_no_witness():
+    system = _EnumerableDivision()
+    assert system.witness((F(1), F(3)), 0, 4) is None
+    v = verify_condition2(system, division_oracle(), (F(1), F(3)), 4,
+                          m_cap=2, a_samples=1, budget=50)
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert v.diagnostics == "no m <= 2 served every sample within the budget"
 
 
 # --- dimension checks ---------------------------------------------------------------
