@@ -11,7 +11,8 @@ target value".  Two semantic conditions make S useful:
 This module fixes the computational interface only: systems expose a total
 `enumerate` (k-th candidate or None) and a budgeted semi-decision
 `membership`.  Decidable systems also expose `decide` and optionally a
-`witness` hint used by the evaluator's fast path.
+`witness` hint used by the evaluator's fast path, from the ladder rung
+`first_rung` on.
 """
 
 from __future__ import annotations
@@ -105,13 +106,17 @@ class ApproxSystem:
 
     Subclasses set `dim_in` and implement `enumerate`.  `decide` stays None
     for systems that are only enumerable; when set, membership is exact and
-    independent of budget.
+    independent of budget.  `first_rung` is the first rung t of the
+    evaluator's witness ladder, at input precision m = (n+1)*2^t - 1, at
+    which `witness` can return a b; `apply` reads the name at no rung
+    below it.
     """
 
     dim_in: int
     name: str = "system"
     decide: Optional[Callable[[Quadruple], bool]] = None
     provides_witness: bool = False
+    first_rung: int = 0
 
     def __init__(self):
         # members found so far, in code order, and their codes
@@ -217,12 +222,16 @@ class DecidableSystem(ApproxSystem):
         *,
         witness: Optional[Callable[[Point, int, int], Optional[Rat]]] = None,
         name: str = "system",
+        first_rung: int = 0,
     ):
         super().__init__()
         if dim <= 0:
             raise DimensionError("system dimension must be positive")
+        if first_rung < 0:
+            raise DomainError(f"first rung {first_rung} must be a natural number")
         self.dim_in = dim
         self.name = name
+        self.first_rung = first_rung
 
         def checked(q: Quadruple) -> bool:
             if len(q.a) != dim:

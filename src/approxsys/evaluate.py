@@ -12,10 +12,13 @@ the name was read, so soundness of the system transfers to the result with
 no further trust in the search order, which has two phases:
 
   phase A  witness ladder: ask the system for a candidate b at input
-           precisions l = (n+1)*2^t - 1, t <= 12, and certify it (the
-           exact quotient for division, the simplest dyadic near a Taylor
-           midpoint for cosine, a cell of the b-line for every formula
-           system, the operator's own value for an extracted system);
+           precisions l = (n+1)*2^t - 1, from its first_rung up to t = 12,
+           and certify it (the exact quotient for division, the simplest
+           dyadic near a Taylor midpoint for cosine, a cell of the b-line
+           for every formula system, the operator's own value for an
+           extracted system).  Cosine starts at t = 1, l = 2n+1: at l = n
+           its slack 1/(n+1) - 1/(l+1) is 0, so phase A never reads index n,
+           which in a composition is a whole inner evaluation;
   phase B  a plain dovetailed sweep of (l, j, s) codes at full precision,
            which guarantees completeness: if any certifiable answer exists,
            enough budget eventually finds it.  A system without a witness
@@ -37,7 +40,7 @@ from .errors import DimensionError, DomainError, SearchTimeout
 from .names import OrdinaryName
 from .numerics import Point, Rat, cantor_split, decode_rat, decode_tuple
 
-# Phase A input-precision ladder: l = (n+1)*2^t - 1 for t = 0..12.
+# Phase A input-precision ladder: l = (n+1)*2^t - 1 for t = first_rung..12.
 _LADDER_RUNGS = 13
 
 
@@ -69,7 +72,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
 
     # phase A: certified witnesses at geometrically finer input precision
     if system.provides_witness:
-        for t in range(_LADDER_RUNGS):
+        for t in range(system.first_rung, _LADDER_RUNGS):
             l = (n + 1) * (1 << t) - 1
             a = f.approx(l)
             b = system.witness(a, l, n)

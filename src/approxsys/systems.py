@@ -213,8 +213,8 @@ def _cosine_decide(q: Quadruple) -> bool:
 
 
 def _cosine_witness(a_pt: Point, m: int, n: int) -> Optional[Rat]:
-    """The simplest dyadic within r = g - e_k of sigma_k(a), at the first
-    admissible k with e_k <= g (sigma_k itself when r = 0).
+    """The simplest dyadic strictly within r = g - e_k of sigma_k(a), at the
+    first admissible k with e_k < g, so r > 0.
 
     decide accepts such a b at k, since |b - sigma_k| + e_k < g, and rejects
     it at no earlier j, since F_j - 2 e_j <= |b - cos a| < g.  The output
@@ -225,11 +225,9 @@ def _cosine_witness(a_pt: Point, m: int, n: int) -> Optional[Rat]:
     if g <= 0:  # only the degenerate a = 0 quadruples admit equality
         return Fraction(1) if g == 0 and a == 0 else None
     k = _cos_k0(a * a)
-    while (e := _half_term(a, k)) > g:  # ends, since e_k -> 0 and g > 0
+    while (e := _half_term(a, k)) >= g:  # ends, since e_k -> 0 and g > 0
         k += 1
     s = sigma_k(a, k)
-    if e == g:
-        return s
     # over t = Q D G: sigma = P/Q, e = E/D, g = (m - n)/G with G = (n+1)(m+1)
     P, Q, E, D, G = s.numerator, s.denominator, e.numerator, e.denominator, (n + 1) * (m + 1)
     mid, r = P * D * G, Q * ((m - n) * D - E * G)
@@ -239,11 +237,14 @@ def _cosine_witness(a_pt: Point, m: int, n: int) -> Optional[Rat]:
 @lru_cache(maxsize=None)
 def cosine_system() -> DecidableSystem:
     """Approximation system for x |-> cos x via midpoint Taylor sections."""
+    # at rung 0, m = n, the slack g is 0 and the witness serves a = 0 alone,
+    # which rung 1 serves as well
     return DecidableSystem(
         _cosine_decide,
         dim=1,
         witness=_cosine_witness,
         name="cosine",
+        first_rung=1,
     )
 
 

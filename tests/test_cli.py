@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 from fractions import Fraction as F
 from pathlib import Path
@@ -509,10 +510,12 @@ def test_consecutive_calls_share_no_options(capsys):
 # --- README transcript ------------------------------------------------------------
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_transcript():
     """(argv, stdout) for every `$ approxsys ...` line of the README's text block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    block = README.split("```text\n", 1)[1].split("```", 1)[0]
     cases = []
     for line in block.splitlines():
         if line.startswith("$ approxsys "):
@@ -534,3 +537,12 @@ def test_readme_transcript(capsys, argv, expected):
 
 def test_readme_transcript_has_every_subcommand():
     assert {argv[0] for argv, _ in README_TRANSCRIPT} == {"eval", "enumerate", "verify"}
+
+
+def test_readme_compose_claim(capsys):
+    """The prose claim after the transcript, replayed like it."""
+    claim = re.search(r"`(--compose [^`]*)` prints\s+`(value = [^`]*)`", README)
+    assert claim.groups() == ("--compose cosine,division --point 2,3 --prec-index 20",
+                              "value = 25/32")
+    code, out, err = run(capsys, "eval", *shlex.split(claim[1]))
+    assert (code, out.splitlines()[0], err) == (0, claim[2], "")

@@ -55,8 +55,8 @@ def test_cosine_witness_path_frozen():
     # certified at l = 1999, k = 4: within g - e_4 of sigma_4, g = 1/1000 - 1/2000
     assert abs(res.value - sigma_k(F(1), 4)) < F(1, 2000) - F(1, 80640)
 
-    at_zero = apply(cosine_system(), name_of_point((F(0),)), 9, 10**5)
-    assert at_zero.value == F(1) and at_zero.search_steps == 1
+    for n in (0, 1, 9, 99):
+        assert apply(cosine_system(), name_of_point((F(0),)), n, 1) == EvalResult(F(1), n, 1)
 
 
 def test_apply_checks_dimension():
@@ -190,6 +190,61 @@ def test_composition_of_cosines():
     inner2 = eval_name(cosine_system(), name_of_point((F(1),)))
     (v2,) = eval_name(cosine_system(), inner2).approx(99)
     assert v2 == v
+
+
+# --- which inner indices an evaluation computes ---------------------------------
+
+def _recording_name(point):
+    """A name of the constant `point` that lists each index it computes."""
+    computed = []
+
+    def fun(i):
+        computed.append(i)
+        return point
+
+    return OrdinaryName(fun, dim=len(point)), computed
+
+
+def test_ladder_starts_at_the_first_rung_of_the_system():
+    assert ApproxSystem.first_rung == 0
+    assert DecidableSystem(lambda q: True, 1).first_rung == 0
+    assert [s.first_rung for s in (division_system(), maximal_division_system(),
+                                   cosine_system(), squaring_system())] == [0, 0, 1, 0]
+    assert system_from_operator(operator_from_system(division_system()), 2).first_rung == 0
+    with pytest.raises(DomainError):
+        DecidableSystem(lambda q: True, 1, first_rung=-1)
+    # division with its ladder started at rung 2 reads the name at l = 4n+3 only
+    late = DecidableSystem(division_system().decide, 2, witness=division_system().witness,
+                           first_rung=2)
+    f, computed = _recording_name((F(1), F(3)))
+    assert apply(late, f, 5, 10) == EvalResult(F(1, 3), 5, 1)
+    assert computed == [23]
+
+
+@pytest.mark.parametrize("n", [0, 3, 99])
+def test_cosine_reads_its_input_at_2n_plus_1_only(n):
+    inner, computed = _recording_name((F(2, 3),))
+    eval_name(cosine_system(), inner).approx(n)
+    assert computed == [2 * n + 1]
+    # in a composition the inner evaluator computes only that index, and
+    # division, whose rung 0 certifies, reads its own input there alone
+    point, computed = _recording_name((F(2), F(3)))
+    inner = eval_name(division_system(), point)
+    eval_name(cosine_system(), inner).approx(n)
+    assert computed == [2 * n + 1]
+    point, computed = _recording_name((F(2), F(3)))
+    assert apply(division_system(), point, n, 10).value == F(2, 3)
+    assert computed == [n]
+
+
+@pytest.mark.parametrize("n", [0, 4, 99])
+def test_cosine_operator_misses_at_the_index_it_needs(n):
+    assert operator_from_system(cosine_system()).run((), n, 10) == OracleMiss(2 * n + 1)
+
+
+def test_cosine_of_a_quotient_keeps_its_value():
+    inner = eval_name(division_system(), name_of_point((F(2), F(3))))
+    assert eval_name(cosine_system(), inner).approx(20) == (F(25, 32),)
 
 
 # --- adversarial names ----------------------------------------------------------

@@ -278,16 +278,16 @@ def simplest_dyadic_reference(lo, hi):
 
 
 def cosine_witness_reference(a, m, n):
-    """The simplest dyadic within r = g - e_k of sigma_k(a), for the first k
-    with a^2 <= (2k+1)(2k+2) and e_k <= g, all in Fraction arithmetic."""
+    """The simplest dyadic strictly within r = g - e_k of sigma_k(a), for the
+    first k with a^2 <= (2k+1)(2k+2) and e_k < g, all in Fraction arithmetic."""
     g = F(1, n + 1) - F(1, m + 1)
     full = F(0)  # sum_{i<k} (-1)^i a^(2i)/(2i)!
     for k in range(10**4):
         term = F(a) ** (2 * k) / math.factorial(2 * k)
         e = term / 2
-        if a * a <= (2 * k + 1) * (2 * k + 2) and e <= g:
+        if a * a <= (2 * k + 1) * (2 * k + 2) and e < g:
             s = full + (-1) ** k * e
-            return s if e == g else simplest_dyadic_reference(s - (g - e), s + (g - e))
+            return simplest_dyadic_reference(s - (g - e), s + (g - e))
         full += (-1) ** k * term
     raise AssertionError("no admissible k")
 
@@ -309,9 +309,15 @@ def test_cosine_witness_is_the_simplest_dyadic_in_the_slack(case):
     assert w == cosine_witness_reference(a, m, n)
 
 
-def test_cosine_witness_keeps_sigma_k_when_the_slack_is_empty():
-    # a = 1, k = 2: e_2 = 1/48 = g for (m, n) = (47, 23), so only sigma_2 fits
-    assert cosine_system().witness((F(1),), 47, 23) == sigma_k(F(1), 2) == F(25, 48)
+def test_cosine_witness_skips_a_k_whose_slack_is_empty():
+    # a = 1, (m, n) = (47, 23): e_2 = 1/48 = g leaves only sigma_2 = 25/48 at
+    # k = 2, so the witness takes k = 3 and the simplest dyadic within
+    # g - e_3 = 29/1440 of sigma_3 = 779/1440
+    assert cosine_witness_reference(F(1), 47, 23) == F(17, 32)
+    assert cosine_system().witness((F(1),), 47, 23) == F(17, 32)
+    assert cosine_system().decide(Quadruple((F(1),), 47, F(17, 32), 23))
+    # at a = 0, n = 0 and rung 1: e_0 = 1/2 = g, and k = 1 gives 1, not sigma_0 = 1/2
+    assert cosine_system().witness((F(0),), 1, 0) == F(1)
 
 
 @pytest.mark.parametrize("name, n, value", [
