@@ -10,9 +10,9 @@ target value".  Two semantic conditions make S useful:
 
 This module fixes the computational interface only: systems expose a total
 `enumerate` (k-th candidate or None) and a budgeted semi-decision
-`membership`.  Decidable systems also expose `decide` and optionally a
-`witness` hint used by the evaluator's fast path, from the ladder rung
-`first_rung` on.
+`membership`.  Decidable systems also expose `decide` and optionally two
+hints for the evaluator's fast path: a `witness` b for (a, m, n), and a
+`modulus`, the input index m at which that witness certifies at a.
 """
 
 from __future__ import annotations
@@ -101,22 +101,29 @@ _DEFAULT_CAP_PER_MEMBER = 500
 _DEFAULT_CAP_FLOOR = 100_000
 
 
+# modulus(a, n): a system's input index for output index n at the point a
+# (see ApproxSystem)
+Modulus = Callable[[Optional[Point], int], Optional[int]]
+
+
 class ApproxSystem:
     """Base interface; see module docstring for the semantics.
 
     Subclasses set `dim_in` and implement `enumerate`.  `decide` stays None
     for systems that are only enumerable; when set, membership is exact and
-    independent of budget.  `first_rung` is the first rung t of the
-    evaluator's witness ladder, at input precision m = (n+1)*2^t - 1, at
-    which `witness` can return a b; `apply` reads the name at no rung
-    below it.
+    independent of budget.  `modulus` stays None for systems with no rule
+    for their input index; when set, modulus(a, n) is the least input index
+    m at which `witness` certifies at the point a (None: no rule there), and
+    modulus(None, n) the index to read first, before any point is known.
+    Like the witness it is a hint: the evaluator certifies through
+    membership whatever it names.
     """
 
     dim_in: int
     name: str = "system"
     decide: Optional[Callable[[Quadruple], bool]] = None
     provides_witness: bool = False
-    first_rung: int = 0
+    modulus: Optional[Modulus] = None
 
     def __init__(self):
         # members found so far, in code order, and their codes
@@ -212,7 +219,8 @@ class DecidableSystem(ApproxSystem):
     witness and membership raise DimensionError on a point of another
     dimension.  membership checks it once and the prefix scan, which
     decodes only points of dimension dim_in, not at all: both then call the
-    bare predicate (see _predicate).
+    bare predicate (see _predicate).  modulus, a hint for the evaluator's
+    read index (see ApproxSystem), is stored as given.
     """
 
     def __init__(
@@ -222,16 +230,14 @@ class DecidableSystem(ApproxSystem):
         *,
         witness: Optional[Callable[[Point, int, int], Optional[Rat]]] = None,
         name: str = "system",
-        first_rung: int = 0,
+        modulus: Optional[Modulus] = None,
     ):
         super().__init__()
         if dim <= 0:
             raise DimensionError("system dimension must be positive")
-        if first_rung < 0:
-            raise DomainError(f"first rung {first_rung} must be a natural number")
         self.dim_in = dim
         self.name = name
-        self.first_rung = first_rung
+        self.modulus = modulus
 
         def checked(q: Quadruple) -> bool:
             if len(q.a) != dim:

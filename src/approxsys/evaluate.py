@@ -11,14 +11,19 @@ Every value `apply` returns is membership-certified: a quadruple
 the name was read, so soundness of the system transfers to the result with
 no further trust in the search order, which has two phases:
 
-  phase A  witness ladder: ask the system for a candidate b at input
-           precisions l = (n+1)*2^t - 1, from its first_rung up to t = 12,
+  phase A  witnesses: read the name at the system's start index
+           (modulus(None, n); n for a system without a modulus, 2n+1 for
+           cosine), and at each of the first two points read ask the
+           modulus for the least index m at which the witness certifies
+           there; when m is finer than the index read, read again at m
+           itself, with no cap.  Division, square and cosine state a
+           modulus; maximal division, formula systems built without one and
+           extracted systems do not.  Then ask the system for a candidate b
            and certify it (the exact quotient for division, the simplest
            dyadic near a Taylor midpoint for cosine, a cell of the b-line
            for every formula system, the operator's own value for an
-           extracted system).  Cosine starts at t = 1, l = 2n+1: at l = n
-           its slack 1/(n+1) - 1/(l+1) is 0, so phase A never reads index n,
-           which in a composition is a whole inner evaluation;
+           extracted system).  When that fails, a ladder reads the rungs
+           l = (n+1)*2^t - 1 above the last index read, up to t = 12;
   phase B  a plain dovetailed sweep of (l, j, s) codes at full precision,
            which guarantees completeness: if any certifiable answer exists,
            enough budget eventually finds it.  A system without a witness
@@ -40,8 +45,11 @@ from .errors import DimensionError, DomainError, SearchTimeout
 from .names import OrdinaryName
 from .numerics import Point, Rat, cantor_split, decode_rat, decode_tuple
 
-# Phase A input-precision ladder: l = (n+1)*2^t - 1 for t = first_rung..12.
+# Phase A's fallback ladder: l = (n+1)*2^t - 1 for t <= 12.  It caps only the
+# ladder, never a read at the index a modulus names.
 _LADDER_RUNGS = 13
+# Phase A asks a system's modulus at the first this many points it reads.
+_MODULUS_ASKS = 2
 
 
 @dataclass(frozen=True)
@@ -70,19 +78,32 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
         )
     used = 0
 
-    # phase A: certified witnesses at geometrically finer input precision
+    # phase A: the witness at the index the modulus names, then a ladder
     if system.provides_witness:
-        for t in range(system.first_rung, _LADDER_RUNGS):
-            l = (n + 1) * (1 << t) - 1
+        modulus = system.modulus
+        if modulus is None:
+            l, asks = n, 0
+        else:
+            l, asks = modulus(None, n), _MODULUS_ASKS
+        while True:
             a = f.approx(l)
+            if asks:
+                asks -= 1
+                m = modulus(a, n)
+                if m is not None and m > l:
+                    l = m
+                    continue
             b = system.witness(a, l, n)
-            if b is None:
-                continue
-            if used == budget:
-                raise SearchTimeout(budget)
-            used += 1
-            if system.membership(Quadruple(a, l, b, n), l) is Membership.YES:
-                return EvalResult(b, n, used)
+            if b is not None:
+                if used == budget:
+                    raise SearchTimeout(budget)
+                used += 1
+                if system.membership(Quadruple(a, l, b, n), l) is Membership.YES:
+                    return EvalResult(b, n, used)
+            t = ((l + 1) // (n + 1)).bit_length()  # the first rung above l
+            if t >= _LADDER_RUNGS:
+                break
+            l = ((n + 1) << t) - 1
 
     # phase B: exhaustive dovetailing at the requested precision
     for g in count():
@@ -165,8 +186,9 @@ class _SystemOperator(NameOperator):
     It keeps no state: each run is one fresh `apply` on a name that reads
     the fragment, with `steps` as its budget.  A read past the fragment's
     end is an OracleMiss and a timeout is OutOfBudget.  The probe sequence
-    is deterministic and reads the name in a fixed order, so a Value
-    persists under more budget and under any fragment extension.
+    is deterministic, and each index it reads depends only on the points
+    read before it, so a Value persists under more budget and under any
+    fragment extension.
     """
 
     def __init__(self, system: ApproxSystem):

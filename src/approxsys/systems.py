@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from .core import DecidableSystem, Quadruple
+from .core import DecidableSystem, Modulus, Quadruple
 from .errors import FormatError
 from .numerics import Point, Rat, rat_div
 
@@ -42,6 +42,19 @@ def _division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
     return rat_div(*a) if a[1] else None
 
 
+def _division_modulus(a: Optional[Point], n: int) -> Optional[int]:
+    """The least m at which decide accepts the exact quotient b = a1/a2:
+    M = m+1 >= (1 + (n+1)(|b| + 1))/|a2|, decide's test with b's numerator
+    and denominator p1 q2 and q1 p2, divided by q1 p2^2 and rounded up."""
+    if a is None:
+        return n
+    (p1, q1), (p2, q2) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
+    if not p2:
+        return None
+    d = q1 * abs(p2)
+    return -(-q2 * (d + (n + 1) * (abs(p1) * q2 + d)) // (d * abs(p2))) - 1
+
+
 @lru_cache(maxsize=None)
 def division_system() -> DecidableSystem:
     """Approximation system for (x1, x2) |-> x1/x2 on x2 != 0."""
@@ -50,6 +63,7 @@ def division_system() -> DecidableSystem:
         dim=2,
         witness=_division_witness,
         name="division",
+        modulus=_division_modulus,
     )
 
 
@@ -234,17 +248,22 @@ def _cosine_witness(a_pt: Point, m: int, n: int) -> Optional[Rat]:
     return _dyadic_between(mid - r, mid + r, Q * D * G)
 
 
+def _cosine_modulus(a: Optional[Point], n: int) -> int:
+    """2n+1 at every point: at m = n the slack g is 0 and the witness serves
+    a = 0 alone, and m = 2n+1 leaves half the output radius, g = 1/(2n+2),
+    for the Taylor error."""
+    return 2 * n + 1
+
+
 @lru_cache(maxsize=None)
 def cosine_system() -> DecidableSystem:
     """Approximation system for x |-> cos x via midpoint Taylor sections."""
-    # at rung 0, m = n, the slack g is 0 and the witness serves a = 0 alone,
-    # which rung 1 serves as well
     return DecidableSystem(
         _cosine_decide,
         dim=1,
         witness=_cosine_witness,
         name="cosine",
-        first_rung=1,
+        modulus=_cosine_modulus,
     )
 
 
@@ -569,6 +588,16 @@ def _isolated_roots(p: List[int]) -> List[_Root]:
     return roots
 
 
+def _linear_roots(factors: List[List[int]]) -> List[_Root]:
+    """The distinct roots -c0/c1 of the rows [c0, c1], c1 != 0, in increasing
+    order, as exact _Roots.  Over the common denominator d = lcm(c1) each
+    root is the integer -c0 (d / c1), so ordering them and dropping repeats
+    is integer work, and only the distinct roots become Fractions."""
+    d = math.lcm(*(c1 for _, c1 in factors))
+    keys = sorted({-c0 * (d // c1) for c0, c1 in factors})
+    return [_Root(x, x) for x in (Fraction(k, d) for k in keys)]
+
+
 def _simplest_dyadic(lo: Optional[_Root], hi: Optional[_Root]) -> Rat:
     """The simplest dyadic strictly between roots lo < hi (None: an infinite
     end): _simplest_on_grid of the grid points between the roots at the
@@ -582,7 +611,13 @@ def _simplest_dyadic(lo: Optional[_Root], hi: Optional[_Root]) -> Rat:
         k = 2 * k or 1
 
 
-def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebraic") -> DecidableSystem:
+def semialgebraic_system(
+    formula: Formula,
+    dim: int,
+    *,
+    name: str = "semialgebraic",
+    modulus: Optional[Modulus] = None,
+) -> DecidableSystem:
     """System whose members are the quadruples satisfying `formula`.
 
     The formula is evaluated exactly at (a_1, ..., a_N, b, u, v) with
@@ -598,7 +633,8 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
     returns the simplest dyadic of the first cell in b order at which the
     formula holds (O(log n) bits), else the first rational root at which it
     holds, else None.  Truth at each point is decide's; apply still
-    certifies the witness through decide.
+    certifies the witness through decide.  `modulus` is passed on to
+    DecidableSystem: the formula's author may state one.
     """
     _validate_formula(formula, dim)
     coefficients, holds = _compile(formula, dim)
@@ -613,8 +649,7 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
             roots = _isolated_roots(reduce(_mul, factors))
         else:  # every row is c0 + c1 b, with the exact root -c0/c1 if c1 != 0
             factors = [c[:2] for c in rows if c[1]]
-            xs = sorted(Fraction(-c[0], c[1]) for c in factors)
-            roots = [_Root(x, x) for i, x in enumerate(xs) if not i or x != xs[i - 1]]
+            roots = _linear_roots(factors)
         lc = max((abs(c[-1]) for c in factors), default=1)  # each rational root's denominator divides one
         for lo, hi in zip([None, *roots], [*roots, None]):
             if holds(rows, x := _simplest_dyadic(lo, hi)):
@@ -624,7 +659,7 @@ def semialgebraic_system(formula: Formula, dim: int, *, name: str = "semialgebra
                 return x
         return None
 
-    return DecidableSystem(decide, dim, witness=witness, name=name)
+    return DecidableSystem(decide, dim, witness=witness, name=name, modulus=modulus)
 
 
 def squaring_formula() -> Tuple[Formula, int]:
@@ -670,8 +705,32 @@ def squaring_formula() -> Tuple[Formula, int]:
     return formula, 1
 
 
+def _square_modulus(a: Optional[Point], n: int) -> int:
+    """The least m at which squaring_formula() holds for some b at (a, m, n).
+
+    With |a| = p/q, u = 1/M for M = m+1 and v = 1/N for N = n+1, some b
+    exists iff the range of x^2 over the ball has width at most 2v:
+      * u <= |a| (M p >= q): 2|a|u <= v, i.e. M q >= 2 p N;
+      * u > |a|: (|a| + u)^2 < 2v, i.e. A M^2 - 2 N p q M - N q^2 > 0 for
+        A = 2 q^2 - N p^2, which needs A > 0 and holds from the least
+        integer M above the positive root q (N p + q sqrt(2N)) / A on.
+    Both conditions only get easier as M grows, so the least M is the
+    second case's first M when that lies below q/p, else the first case's.
+    """
+    if a is None:
+        return n
+    p, q = abs(a[0]).as_integer_ratio()
+    N = n + 1
+    A = 2 * q * q - N * p * p
+    if A > 0:
+        M = (N * p * q + math.isqrt(2 * N * q ** 4)) // A + 1
+        if M * p < q:
+            return M - 1
+    return max(-(-2 * p * N // q), -(-q // p)) - 1
+
+
 @lru_cache(maxsize=None)
 def squaring_system() -> DecidableSystem:
     """Approximation system for x |-> x^2, the formula squaring_formula()."""
     formula, nvars = squaring_formula()
-    return semialgebraic_system(formula, nvars, name="square")
+    return semialgebraic_system(formula, nvars, name="square", modulus=_square_modulus)

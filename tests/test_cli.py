@@ -195,21 +195,35 @@ def test_eval_compose_innermost_system_of_any_dimension(capsys):
     assert err == "error: division: name of dimension 1, system expects 2\n"
 
 
+@pytest.mark.parametrize("n", [0, 3, 10])
+@pytest.mark.parametrize("den", [100, 1000])
+def test_eval_division_near_the_pole(capsys, den, n):
+    # the certificate needs an input index past the ladder's last rung
+    # ((n+1)*2^12 - 1); division's modulus names it from the first read
+    code, out, err = run(
+        capsys, "eval", "--system", "division", "--point", f"1,1/{den}",
+        "--prec-index", str(n),
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"value = {den}" and "search_steps = 1\n" in out
+
+
 def test_env_default_budget(capsys, monkeypatch):
-    # division at (0, 1), n = 0 certifies on its second probe: the witness 0
-    # fails at input precision m = 0 and passes at m = 1
+    # maximal division, which states no modulus, at (0, 3/2), n = 0 certifies
+    # on its second probe: the range's midpoint 0 fails at input precision
+    # m = 0 (the range is [-2, 2]) and passes at m = 1
     monkeypatch.setenv("APPROXSYS_DEFAULT_BUDGET", "1")
     code, _, err = run(
-        capsys, "eval", "--system", "division", "--point", "0,1",
+        capsys, "eval", "--system", "maximal-division", "--point", "0,3/2",
         "--prec-index", "0",
     )
     assert code == 2 and err.startswith("timeout:")
     # an explicit --budget wins over the environment
     code, out, _ = run(
-        capsys, "eval", "--system", "division", "--point", "0,1",
+        capsys, "eval", "--system", "maximal-division", "--point", "0,3/2",
         "--prec-index", "0", "--budget", "1000000",
     )
-    assert code == 0
+    assert code == 0 and "value = 0\n" in out and "search_steps = 2\n" in out
 
     for bad in ("abc", "0", "-5"):
         monkeypatch.setenv("APPROXSYS_DEFAULT_BUDGET", bad)

@@ -22,7 +22,14 @@ from approxsys.evaluate import (
     operator_from_system,
     system_from_operator,
 )
-from approxsys.names import OrdinaryName, check_name_consistency, dyadic_name, name_of_point
+from approxsys.names import (
+    OrdinaryName,
+    cauchy_to_ordinary,
+    check_name_consistency,
+    dyadic_name,
+    name_of_point,
+    ordinary_to_cauchy,
+)
 from approxsys.numerics import cantor_join, dist, encode_tuple
 from approxsys.systems import (
     cosine_system,
@@ -156,14 +163,23 @@ def test_eval_name_output_contract():
     assert check_name_consistency(g, 50) is None
 
 
+def _division_without_modulus():
+    return DecidableSystem(division_system().decide, 2, witness=division_system().witness)
+
+
 def test_eval_name_respects_budget_schedule():
-    # index 0 of division at (0, 1) needs two probes; the schedule allows one
+    # with no modulus, index 0 of division at (0, 1) needs two probes: the
+    # witness 0 fails at input index 0 and passes at rung 1; the schedule
+    # allows one
+    system = _division_without_modulus()
     point = name_of_point((F(0), F(1)))
-    assert apply(division_system(), point, 0, 10).search_steps == 2
-    g = eval_name(division_system(), point, make_budget_schedule(1))
+    assert apply(system, point, 0, 10).search_steps == 2
+    g = eval_name(system, point, make_budget_schedule(1))
     with pytest.raises(SearchTimeout):
         g.approx(0)
-    assert eval_name(division_system(), point, make_budget_schedule(2)).approx(0) == (F(0),)
+    assert eval_name(system, point, make_budget_schedule(2)).approx(0) == (F(0),)
+    # division's modulus names input index 1 at once
+    assert apply(division_system(), point, 0, 1) == EvalResult(F(0), 0, 1)
 
 
 @pytest.mark.parametrize("x", [F(7, 4), F(-7, 4), F(2), F(-5, 2), F(13, 4), F(-4), F(4)])
@@ -194,31 +210,82 @@ def test_composition_of_cosines():
 
 # --- which inner indices an evaluation computes ---------------------------------
 
-def _recording_name(point):
-    """A name of the constant `point` that lists each index it computes."""
+def _recording(name):
+    """A name with the points of `name` that lists each index it computes."""
     computed = []
 
     def fun(i):
         computed.append(i)
-        return point
+        return name.approx(i)
 
-    return OrdinaryName(fun, dim=len(point)), computed
+    return OrdinaryName(fun, dim=name.dim), computed
 
 
-def test_ladder_starts_at_the_first_rung_of_the_system():
-    assert ApproxSystem.first_rung == 0
-    assert DecidableSystem(lambda q: True, 1).first_rung == 0
-    assert [s.first_rung for s in (division_system(), maximal_division_system(),
-                                   cosine_system(), squaring_system())] == [0, 0, 1, 0]
-    assert system_from_operator(operator_from_system(division_system()), 2).first_rung == 0
-    with pytest.raises(DomainError):
-        DecidableSystem(lambda q: True, 1, first_rung=-1)
-    # division with its ladder started at rung 2 reads the name at l = 4n+3 only
+def _recording_name(point):
+    """A name of the constant `point` that lists each index it computes."""
+    return _recording(name_of_point(point))
+
+
+def test_modulus_names_the_first_read():
+    assert ApproxSystem.modulus is None
+    assert DecidableSystem(lambda q: True, 1).modulus is None
+    assert maximal_division_system().modulus is None
+    assert system_from_operator(operator_from_system(division_system()), 2).modulus is None
+    assert [s.modulus(None, 5) for s in (division_system(), cosine_system(),
+                                         squaring_system())] == [5, 11, 5]
+    # division with its first read at 4n+3 reads the name at l = 4n+3 only
     late = DecidableSystem(division_system().decide, 2, witness=division_system().witness,
-                           first_rung=2)
+                           modulus=lambda a, n: 4 * n + 3)
     f, computed = _recording_name((F(1), F(3)))
     assert apply(late, f, 5, 10) == EvalResult(F(1, 3), 5, 1)
     assert computed == [23]
+
+
+def test_division_reads_at_its_modulus_past_the_ladder():
+    # the certificate needs m >= 10,199 at n = 0, past the ladder's last
+    # rung 4,095; the modulus names it from the first point read
+    f, computed = _recording_name((F(1), F(1, 100)))
+    assert apply(division_system(), f, 0, 1) == EvalResult(F(100), 0, 1)
+    assert computed == [0, 10_199]
+    f, computed = _recording_name((F(1), F(1, 100)))
+    with pytest.raises(SearchTimeout):
+        apply(_division_without_modulus(), f, 0, 100)
+    assert max(computed) == 4_095
+
+
+def test_modulus_is_asked_again_at_the_finer_point():
+    # the first point's modulus is 1; at index 1 the name moves to a point
+    # whose modulus is 7, and the name is read there
+    points = {0: (F(0), F(1)), 1: (F(0), F(1, 4))}
+    f = OrdinaryName(lambda i: points.get(i, (F(0), F(1, 4))), dim=2)
+    recorded, computed = _recording(f)
+    assert apply(division_system(), recorded, 0, 1) == EvalResult(F(0), 0, 1)
+    assert computed == [0, 1, 7]
+
+
+def test_square_at_three_halves_calls_its_witness_once(monkeypatch):
+    system = squaring_system()
+    calls = []
+    witness = system.witness
+    monkeypatch.setattr(system, "witness", lambda a, m, n: calls.append(m) or witness(a, m, n))
+    f, computed = _recording_name((F(3, 2),))
+    res = apply(system, f, 999, 1)
+    assert abs(res.value - F(9, 4)) < F(1, 1000) and res.search_steps == 1
+    assert calls == [2_999] and computed == [999, 2_999]
+
+
+@pytest.mark.parametrize("kind", ["truncation", "cauchy"])
+def test_cosine_of_division_computes_two_inner_indices_per_read(kind):
+    # the stream-eval point with the largest quotient, on its index ladder
+    f = dyadic_name((F(-264, 35), F(11, 5)))
+    if kind == "cauchy":
+        f = cauchy_to_ordinary(ordinary_to_cauchy(f))
+    point, computed = _recording(f)
+    outer = eval_name(cosine_system(), eval_name(division_system(), point))
+    for n in (1, 3, 10, 30, 100):
+        before = len(computed)
+        outer.approx(n)
+        assert len(computed) - before <= 2
 
 
 @pytest.mark.parametrize("n", [0, 3, 99])
@@ -227,7 +294,8 @@ def test_cosine_reads_its_input_at_2n_plus_1_only(n):
     eval_name(cosine_system(), inner).approx(n)
     assert computed == [2 * n + 1]
     # in a composition the inner evaluator computes only that index, and
-    # division, whose rung 0 certifies, reads its own input there alone
+    # division, whose modulus there is below 2n+1, reads its own input there
+    # alone
     point, computed = _recording_name((F(2), F(3)))
     inner = eval_name(division_system(), point)
     eval_name(cosine_system(), inner).approx(n)

@@ -19,6 +19,7 @@ from approxsys.systems import (
     _atoms,
     _dyadic_between,
     _isolated_roots,
+    _linear_roots,
     _mul,
     _simplest_dyadic,
     atom,
@@ -82,6 +83,34 @@ def test_division_witness_is_exact_quotient(a1, a2, m, n):
         assert w is None
     else:
         assert w * a2 == a1
+
+
+wide_rats = st.one_of(rats, st.fractions(-10**4, 10**4, max_denominator=10**4))
+output_indices = st.integers(min_value=0, max_value=10**4)
+
+
+@settings(max_examples=300)
+@given(wide_rats, wide_rats, output_indices)
+def test_division_modulus_is_the_least_certifying_index(a1, a2, n):
+    system = division_system()
+    assert system.modulus(None, n) == n
+    m = system.modulus((a1, a2), n)
+    if a2 == 0:
+        assert m is None
+        return
+    b = system.witness((a1, a2), m, n)
+    assert system.decide(Quadruple((a1, a2), m, b, n))
+    if m > 0:
+        assert not system.decide(Quadruple((a1, a2), m - 1, b, n))
+
+
+def test_division_modulus_frozen():
+    modulus = division_system().modulus
+    # (m+1)|a2| >= 1 + (n+1)(|a1/a2| + 1)
+    assert modulus((F(1), F(1, 100)), 0) == 10_199
+    assert modulus((F(0), F(1)), 0) == 1
+    assert modulus((F(1), F(3)), 999) == 444
+    assert modulus((F(-1), F(-3)), 999) == 444
 
 
 # --- maximal division ------------------------------------------------------
@@ -449,6 +478,36 @@ def test_square_accept_set_matches_reference():
     assert accepted > 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(wide_rats, output_indices)
+def test_square_modulus_is_the_least_certifying_index(x, n):
+    system = squaring_system()
+    assert system.modulus(None, n) == n
+    m = system.modulus((x,), n)
+    b = system.witness((x,), m, n)
+    assert b is not None and system.decide(Quadruple((x,), m, b, n))
+    if m > 0:
+        assert system.witness((x,), m - 1, n) is None
+
+
+def test_square_modulus_frozen():
+    modulus = squaring_system().modulus
+    # m + 1 >= 2|a|(n+1) once 1/(m+1) <= |a|: m = n at |a| = 1/2, n >= 1
+    assert [modulus((F(1, 2),), n) for n in (1, 9, 99)] == [1, 9, 99]
+    assert modulus((F(3, 2),), 999) == 2_999
+    assert modulus((F(-7, 4),), 0) == 3
+    # below: the ball holds 0 and (|a| + 1/(m+1))^2 < 2/(n+1)
+    assert modulus((F(0),), 0) == 0
+    assert modulus((F(0),), 99) == 7
+    assert modulus((F(1, 2),), 0) == 1
+
+
+def test_cosine_modulus_is_2n_plus_1():
+    modulus = cosine_system().modulus
+    assert [modulus(None, n) for n in (0, 5)] == [1, 11]
+    assert [modulus((x,), 5) for x in (F(0), F(300), F(-1, 3))] == [11, 11, 11]
+
+
 def test_empty_poly_atoms_at_system_level():
     everything = semialgebraic_system(atom(">="), 1, name="all")
     nothing = semialgebraic_system(atom(">"), 1, name="none")
@@ -725,6 +784,17 @@ def _isolated(*ends):
     """The given rationals as roots isolated by Sturm bisection, not exact."""
     poly = reduce(_mul, ([-x.numerator, x.denominator] for x in ends))
     return _isolated_roots(poly)
+
+
+nonzero_ints = st.integers(-10**6, 10**6).filter(bool)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), nonzero_ints), max_size=8))
+def test_linear_roots_are_the_distinct_roots_in_order(rows):
+    roots = _linear_roots([list(c) for c in rows])
+    assert all(r.lo is r.hi for r in roots)
+    assert [r.lo for r in roots] == sorted({F(-c0, c1) for c0, c1 in rows})
 
 
 @st.composite
