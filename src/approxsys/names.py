@@ -97,25 +97,24 @@ def dyadic_name(p) -> OrdinaryName:
 def ordinary_to_cauchy(f: OrdinaryName) -> CauchyName:
     """Reindex an ordinary name to the 2^-i modulus.
 
-    Index i reads f at 2^(i+1), giving error < 1/(2^(i+1)+1) < 2^-(i+1); two
-    such points at indices i < k are within 2^-(i+1) + 2^-(k+1) <= 2^-i.
+    Index i reads f at the least j with 1/(j+1) <= (2/3) 2^-i, which is
+    j = ceil(3 * 2^(i-1)) - 1 = ((3 << i) - 1) // 2: 1, 2, 5, 11, 23, ...
+    The points at i < k are then within (2/3)(2^-i + 2^-k) <= 2^-i of each
+    other.  At j - 1 the bound 1/j exceeds (2/3) 2^-i, and a read there and
+    one at i + 1 on the other side of the point can be more than 2^-i apart.
     """
-    return CauchyName(lambda i: f.approx(1 << (i + 1)), dim=f.dim)
+    return CauchyName(lambda i: f.approx(((3 << i) - 1) // 2), dim=f.dim)
 
 
 def cauchy_to_ordinary(h: CauchyName) -> OrdinaryName:
     """Reindex a Cauchy name back to the 1/(n+1) rate.
 
-    Index n reads h at the least i with 2^-i + 2^-(i+1) < 1/(n+1), i.e.
-    2^(i+1) > 3(n+1); since 3(n+1) is never a power of two, that i is
-    bit_length(3(n+1)) - 1.  The limit is within 2^-i of h(i) and the slack
-    covers the strict inequality.
+    Index n reads h at i = bit_length(n+1), the least i with 2^-i < 1/(n+1).
+    The limit is within 2^-i of h(i), so within 1/(n+1) strictly.  At i - 1,
+    2^-(i-1) >= 1/(n+1), and a name with h(k) exactly 2^-k from its limit
+    breaks the strict bound.
     """
-    def fun(n: int) -> Point:
-        i = (3 * (n + 1)).bit_length() - 1
-        return h.approx(i)
-
-    return OrdinaryName(fun, dim=h.dim)
+    return OrdinaryName(lambda n: h.approx((n + 1).bit_length()), dim=h.dim)
 
 
 def check_name_consistency(f: OrdinaryName, upto: int):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from approxsys.names import CauchyName, OrdinaryName
+
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail record survives output capturing.
 ACCEPTANCE_LINES = []
@@ -31,3 +33,20 @@ def rand_rat(rng: random.Random, max_num: int = 64, max_den: int = 16) -> Fracti
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+def edge_cauchy_name(point):
+    """A Cauchy name of `point` with every point exactly at its bound:
+    h(k) = point + 2^-k in each coordinate."""
+    return CauchyName(lambda k: tuple(x + Fraction(1, 2**k) for x in point), dim=len(point))
+
+
+def edge_ordinary_name(point):
+    """An ordinary name of `point` just inside its bound, on alternating sides:
+    f(j) = point ± (1 - 2^-(j+8))/(j+1), the sign alternating with j (and
+    with the coordinate)."""
+    def fun(j):
+        r = (1 - Fraction(1, 2 ** (j + 8))) / (j + 1)
+        return tuple(x + r * (-1) ** (j + c) for c, x in enumerate(point))
+
+    return OrdinaryName(fun, dim=len(point))

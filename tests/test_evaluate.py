@@ -39,6 +39,7 @@ from approxsys.systems import (
     squaring_system,
 )
 from approxsys.verify import cos_taylor
+from conftest import edge_cauchy_name, edge_ordinary_name
 
 # --- search plumbing ---------------------------------------------------------
 
@@ -288,6 +289,23 @@ def test_cosine_of_division_computes_two_inner_indices_per_read(kind):
         assert len(computed) - before <= 2
 
 
+@pytest.mark.parametrize("chain, point", [
+    ((cosine_system, cosine_system), (F(-24, 7),)),
+    ((squaring_system, cosine_system), (F(-24, 7),)),
+    ((cosine_system, division_system), (F(-264, 35), F(11, 5))),
+])
+def test_cauchy_round_trip_reads_the_truncation_name_at_767(chain, point):
+    # the outer system reads the inner at 201, the inner reads the round trip
+    # at most at 403, which reads the Cauchy name at bit_length(404) = 9 and
+    # the truncation name at 3 * 2^8 - 1 = 767
+    f, computed = _recording(dyadic_name(point))
+    g = cauchy_to_ordinary(ordinary_to_cauchy(f))
+    for system in reversed(chain):
+        g = eval_name(system(), g)
+    g.approx(100)
+    assert max(computed) == 767
+
+
 @pytest.mark.parametrize("n", [0, 3, 99])
 def test_cosine_reads_its_input_at_2n_plus_1_only(n):
     inner, computed = _recording_name((F(2, 3),))
@@ -377,6 +395,28 @@ def test_two_level_eval_name_on_adversarial_names(x, squared, n, seed):
     # |c^2 - cos^2 x| <= EPS (|c| + |cos x|) <= 3 EPS
     truth, err = (c * c, 3 * EPS) if squared else (cos_taylor(c, EPS), 2 * EPS)
     assert abs(v - truth) + err < F(1, n + 1)
+
+
+def _edge_round_trips(point):
+    """Ordinary names of `point` through a Cauchy round trip, from a name just
+    inside the ordinary bound and from one exactly at the Cauchy bound."""
+    return [cauchy_to_ordinary(ordinary_to_cauchy(edge_ordinary_name(point))),
+            cauchy_to_ordinary(ordinary_to_cauchy(cauchy_to_ordinary(edge_cauchy_name(point))))]
+
+
+@pytest.mark.parametrize("chain, point, truth, err", [
+    ((cosine_system,), (F(-24, 7),), cos_taylor(F(-24, 7), EPS), EPS),
+    ((squaring_system,), (F(5, 7),), F(25, 49), 0),
+    ((squaring_system,), (F(-12, 7),), F(144, 49), 0),
+    ((cosine_system, division_system), (F(-264, 35), F(11, 5)), cos_taylor(F(-24, 7), EPS), EPS),
+])
+def test_evaluation_on_edge_round_trips(chain, point, truth, err):
+    for g in _edge_round_trips(point):
+        for system in reversed(chain):
+            g = eval_name(system(), g)
+        for n in (0, 1, 3, 10, 30, 100):
+            (v,) = g.approx(n)
+            assert abs(v - truth) + err < F(1, n + 1)
 
 
 # --- name operators ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from approxsys.names import (
     ordinary_to_cauchy,
 )
 from approxsys.numerics import dist
+from conftest import edge_cauchy_name, edge_ordinary_name
 
 rationals = st.fractions(max_denominator=1000)
 
@@ -61,7 +62,7 @@ def test_dyadic_truncation_error(x, i):
     assert v.denominator & (v.denominator - 1) == 0  # a power of two
 
 
-def test_ordinary_to_cauchy_reads_doubling_indices():
+def test_ordinary_to_cauchy_reads_the_least_index():
     reads = []
 
     def fun(i):
@@ -71,7 +72,13 @@ def test_ordinary_to_cauchy_reads_doubling_indices():
     h = ordinary_to_cauchy(OrdinaryName(fun, dim=1))
     h.approx(0)
     h.approx(3)
-    assert reads == [2, 16]
+    assert reads == [1, 11]  # the least j with 1/(j+1) <= (2/3) 2^-i
+    # one index less at i breaks the Cauchy contract on a name just inside
+    # its bound: the read there and a later one lie on opposite sides
+    f = edge_ordinary_name((F(0),))
+    edge = ordinary_to_cauchy(f)
+    for i, j in ((0, 1), (3, 11)):
+        assert any(dist(f.approx(j - 1), edge.approx(k)) > F(1, 2**i) for k in range(i + 1, i + 4))
 
 
 def test_cauchy_contract_after_conversion():
@@ -91,9 +98,14 @@ def test_cauchy_to_ordinary_index_formula():
 
     g = cauchy_to_ordinary(CauchyName(fun, dim=1))
     g.approx(0)
-    assert reads == [1]  # smallest i with 2^-i + 2^-(i+1) < 1
+    assert reads == [1]  # the least i with 2^-i < 1
     g.approx(100)
-    assert reads == [1, 8]
+    assert reads == [1, 7]
+    # one index less breaks the strict ordinary contract on a name whose
+    # every point is exactly at its bound
+    h = edge_cauchy_name((F(0),))
+    for n, i in ((0, 1), (100, 7)):
+        assert dist(h.approx(i - 1), (F(0),)) >= F(1, n + 1)
 
 
 def test_round_trip_preserves_ordinary_contract():
@@ -101,6 +113,38 @@ def test_round_trip_preserves_ordinary_contract():
     g = cauchy_to_ordinary(ordinary_to_cauchy(f))
     for n in range(101):
         assert dist(g.approx(n), (F(1, 3),)) < F(1, n + 1)
+
+
+EDGE_POINTS = [(F(-24, 7),), (F(-264, 35), F(11, 5))]
+
+
+def _cauchy_contract_holds(h, upto):
+    points = [h.approx(i) for i in range(upto + 1)]
+    return all(dist(points[i], points[k]) <= F(1, 2**i)
+               for i in range(upto + 1) for k in range(i + 1, upto + 1))
+
+
+def _ordinary_contract_holds(g, point, upto):
+    return (all(dist(g.approx(n), point) < F(1, n + 1) for n in range(upto + 1))
+            and check_name_consistency(g, upto) is None)
+
+
+@pytest.mark.parametrize("point", EDGE_POINTS)
+def test_edge_names_keep_their_contracts(point):
+    h, f = edge_cauchy_name(point), edge_ordinary_name(point)
+    assert all(dist(h.approx(k), point) == F(1, 2**k) for k in range(201))
+    assert _cauchy_contract_holds(h, 200)
+    assert _ordinary_contract_holds(f, point, 200)
+
+
+@pytest.mark.parametrize("point", EDGE_POINTS)
+def test_conversions_keep_their_contracts_on_edge_names(point):
+    h, f = edge_cauchy_name(point), edge_ordinary_name(point)
+    assert _ordinary_contract_holds(cauchy_to_ordinary(h), point, 200)
+    assert _cauchy_contract_holds(ordinary_to_cauchy(cauchy_to_ordinary(h)), 200)
+    assert _ordinary_contract_holds(cauchy_to_ordinary(ordinary_to_cauchy(f)), point, 200)
+    # index i reads f at about 1.5 * 2^i, a point of as many bits
+    assert _cauchy_contract_holds(ordinary_to_cauchy(f), 12)
 
 
 def test_check_name_consistency_accepts_valid():
