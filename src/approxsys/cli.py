@@ -50,14 +50,14 @@ _BUILTIN_SYSTEMS = {
     "square": squaring_system,
 }
 
+# the oracle that audits each built-in system; `--oracle` names an oracle
+# by its own name, the system it was written for
 _ORACLES = {
     "division": division_oracle,
+    "maximal-division": division_oracle,
     "cosine": cosine_oracle,
     "square": squaring_oracle,
 }
-
-# the oracle that audits each built-in system
-_BUILTIN_ORACLES = {**_ORACLES, "maximal-division": division_oracle}
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
     _at_least("--scan-cap", args.scan_cap)
     _at_least("--cond2-n", args.cond2_n)
     system = _resolve_system(args.system)
-    factory = _ORACLES.get(args.oracle) or _BUILTIN_ORACLES.get(args.system)
+    factory = _ORACLES.get(args.oracle or args.system)
     if factory is None:
         raise _UsageError(
             "formula systems need --oracle to say what they claim to compute"
@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--xi-per-quad", type=int, default=10)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--scan-cap", type=int, help="max codes to scan")
-    p_verify.add_argument("--oracle", choices=sorted(_ORACLES))
+    p_verify.add_argument("--oracle", choices=sorted({f().name for f in _ORACLES.values()}))
     p_verify.add_argument("--cond2-xi", help="also audit productivity at this point")
     p_verify.add_argument("--cond2-n", type=int, default=4)
 

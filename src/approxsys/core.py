@@ -12,7 +12,10 @@ This module fixes the computational interface only: systems expose a total
 `enumerate` (k-th candidate or None) and a budgeted semi-decision
 `membership`.  Decidable systems also expose `decide` and optionally two
 hints for the evaluator's fast path: a `witness` b for (a, m, n), and a
-`modulus`, the input index m at which that witness certifies at a.
+`modulus`, the input index m at which that witness certifies at a.  They
+may also state a `screen` for their prefix scan: two keys, one of the
+point and one of the tail (m, b, n), that are equal whenever decide
+accepts, so the scan decides only the codes whose keys match.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import compress, islice
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionError, DomainError
@@ -172,8 +175,9 @@ class ApproxSystem:
         """(code, member) for the members among codes start..stop-1, in code order.
 
         The scan of members_prefix.  Every walk calls its predicate (here
-        enumerate, decide in DecidableSystem) once per code, in code order,
-        and never past the member the caller stops at.
+        enumerate, decide in DecidableSystem) in code order, never past the
+        member the caller stops at, and at most once per code: here once
+        per code, in DecidableSystem once per code its screen lets through.
         """
         codes = range(start, stop)
         return filter(itemgetter(1), zip(codes, map(self.enumerate, codes)))
@@ -221,6 +225,13 @@ class DecidableSystem(ApproxSystem):
     decodes only points of dimension dim_in, not at all: both then call the
     bare predicate (see _predicate).  modulus, a hint for the evaluator's
     read index (see ApproxSystem), is stored as given.
+
+    screen, when given, is a pair (point_key, tail_key) with the contract
+    that decide(q) implies point_key(q.a) == tail_key(q.m, q.b, q.n).  The
+    prefix scan computes each key once per point or tail decoded and calls
+    decide only where the two are equal, so keys should be cheap to compare
+    in C (ints, tuples of ints, None).  It changes no member, no code order
+    and neither enumerate nor membership, which still call decide alone.
     """
 
     def __init__(
@@ -231,6 +242,8 @@ class DecidableSystem(ApproxSystem):
         witness: Optional[Callable[[Point, int, int], Optional[Rat]]] = None,
         name: str = "system",
         modulus: Optional[Modulus] = None,
+        screen: Optional[Tuple[Callable[[Point], object],
+                               Callable[[int, Rat, int], object]]] = None,
     ):
         super().__init__()
         if dim <= 0:
@@ -238,6 +251,7 @@ class DecidableSystem(ApproxSystem):
         self.dim_in = dim
         self.name = name
         self.modulus = modulus
+        self.screen = screen
 
         def checked(q: Quadruple) -> bool:
             if len(q.a) != dim:
@@ -279,22 +293,35 @@ class DecidableSystem(ApproxSystem):
         entries in one pass, as one list `quads`.  compress keeps the members
         by map(decide, quads): decide is looked up once, here, as the bare
         predicate (every point decoded has dimension dim_in), and called once
-        per code, in code order, and never past the member the caller stops
-        at.  No other per-code work runs in Python.
+        per quadruple built, in code order, and never past the member the
+        caller stops at.  With a screen, each point's and each tail's key is
+        computed when it is decoded, and a diagonal builds quadruples only
+        at the codes whose two keys are equal (one C-level mask per
+        diagonal); decide never accepts the others.  No other per-code work
+        runs in Python.
         """
-        decide, dim = self._predicate(), self.dim_in
+        decide, dim, screen = self._predicate(), self.dim_in, self.screen
         make = partial(tuple.__new__, Quadruple)
         i, r = cantor_split(start)
         t = i + r
         points = [decode_point(j, dim) for j in range(t + 1)]
         ms, bs, ns = map(list, zip(*map(_decode_tail, range(t + 1))))
+        if screen is not None:
+            point_key, tail_key = screen
+            pkeys = list(map(point_key, points))
+            tkeys = list(map(tail_key, ms, bs, ns))
         k = start
         while k < stop:
             # codes k..end-1 sit at positions r..last-1 of diagonal t
             end = min(stop, k + t + 1 - r)
             last = r + end - k
-            quads = list(map(make, zip(points[i::-1], ms[r:last], bs[r:last], ns[r:last])))
-            yield from compress(zip(range(k, end), quads), map(decide, quads))
+            codes = range(k, end)
+            rows = zip(points[i::-1], ms[r:last], bs[r:last], ns[r:last])
+            if screen is not None:
+                mask = list(map(eq, pkeys[i::-1], tkeys[r:last]))
+                codes, rows = compress(codes, mask), compress(rows, mask)
+            quads = list(map(make, rows))
+            yield from compress(zip(codes, quads), map(decide, quads))
             k = end
             t += 1
             i, r = t, 0
@@ -303,6 +330,9 @@ class DecidableSystem(ApproxSystem):
             ms.append(m)
             bs.append(b)
             ns.append(n)
+            if screen is not None:
+                pkeys.append(point_key(points[t]))
+                tkeys.append(tail_key(m, b, n))
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         self._check_dim(a)

@@ -55,6 +55,13 @@ def _division_modulus(a: Optional[Point], n: int) -> Optional[int]:
     return -(-q2 * (d + (n + 1) * (abs(p1) * q2 + d)) // (d * abs(p2))) - 1
 
 
+def _quotient_key(a: Point) -> Optional[Tuple[int, int]]:
+    """The scan's point key: a1/a2 in lowest terms, None where decide
+    always rejects (a2 = 0).  b.as_integer_ratio(), the tail key, equals it
+    whenever decide accepts, since decide tests b == a1/a2."""
+    return (a[0] / a[1]).as_integer_ratio() if a[1] else None
+
+
 @lru_cache(maxsize=None)
 def division_system() -> DecidableSystem:
     """Approximation system for (x1, x2) |-> x1/x2 on x2 != 0."""
@@ -64,6 +71,7 @@ def division_system() -> DecidableSystem:
         witness=_division_witness,
         name="division",
         modulus=_division_modulus,
+        screen=(_quotient_key, lambda m, b, n: b.as_integer_ratio()),
     )
 
 

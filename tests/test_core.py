@@ -285,18 +285,49 @@ def test_walk_equals_enumerate_from_any_start(name, start):
         assert list(ApproxSystem._walk(system, start, stop)) == members
 
 
+def _screened(system, start, stop):
+    """The quadruples of codes start..stop-1 whose screen keys match, in code order."""
+    point_key, tail_key = system.screen
+    return [q for k in range(start, stop)
+            if point_key((q := decode_quadruple(k, system.dim_in)).a) == tail_key(q.m, q.b, q.n)]
+
+
 def test_members_prefix_decides_once_per_code_scanned():
+    # division states a screen, so decide runs once per scanned code whose keys match
     div = division_system.__wrapped__()
     decide, seen = div.decide, []
     div.decide = lambda q: seen.append(q) or decide(q)  # as a tracer patches it
     members = div.members_prefix(10**4)
     assert len(members) == 10**4
-    assert len(seen) == div._scanned == div._codes[-1] + 1
-    assert all(q == decode_quadruple(k, 2) for k, q in enumerate(seen))
+    assert div._scanned == div._codes[-1] + 1
+    passed = _screened(div, 0, div._scanned)
+    assert seen == passed and seen[-1] == members[-1]  # in code order, none past the last member
     assert div.members_prefix(50, scan_cap=990) == members[:50]
-    scan_cap = div._scanned + 12_345  # reached before the 2 * 10^4-th member
+    assert len(seen) == len(passed)
+    start, scan_cap = div._scanned, div._scanned + 12_345  # reached before the 2 * 10^4-th member
     div.members_prefix(2 * 10**4, scan_cap)
-    assert len(seen) == div._scanned == scan_cap
+    assert div._scanned == scan_cap
+    assert seen == passed + _screened(div, start, scan_cap)
+
+
+def test_screen_skips_most_decide_calls_and_only_where_stated():
+    calls = 0
+
+    def counting_decide(q):
+        nonlocal calls
+        calls += 1
+        return division_system().decide(q)
+
+    screened = division_system.__wrapped__()
+    screened.decide = counting_decide  # as a tracer patches it
+    members = screened.members_prefix(2000)
+    assert len(members) == 2000
+    assert calls < screened._scanned / 4
+    calls = 0
+    unscreened = DecidableSystem(counting_decide, 2)
+    assert unscreened.screen is None
+    assert unscreened.members_prefix(2000) == members
+    assert calls == unscreened._scanned == screened._scanned
 
 
 def test_decide_replaced_on_the_instance_is_called_once_per_membership_and_probe():

@@ -104,6 +104,32 @@ def test_division_modulus_is_the_least_certifying_index(a1, a2, n):
         assert not system.decide(Quadruple((a1, a2), m - 1, b, n))
 
 
+def _passes_screen(system, q: Quadruple) -> bool:
+    point_key, tail_key = system.screen
+    return point_key(q.a) == tail_key(q.m, q.b, q.n)
+
+
+def test_division_members_below_10_5_pass_the_screen():
+    system = division_system()
+    members = [q for k in range(10**5) if system.decide(q := decode_quadruple(k, 2))]
+    assert len(members) > 9000 and any(q.b < 0 for q in members)
+    assert all(_passes_screen(system, q) for q in members)
+    walked = division_system.__wrapped__().members_prefix(len(members) + 1, scan_cap=10**5)
+    assert walked == members
+
+
+@settings(max_examples=300)
+@given(wide_rats, wide_rats, output_indices, st.integers(0, 50))
+def test_division_accepted_at_the_quotient_pass_the_screen(a1, a2, n, extra):
+    system = division_system()
+    if a2 == 0:
+        assert system.screen[0]((a1, a2)) is None
+        return
+    m = system.modulus((a1, a2), n) + extra
+    q = Quadruple((a1, a2), m, a1 / a2, n)
+    assert system.decide(q) and _passes_screen(system, q)
+
+
 def test_division_modulus_frozen():
     modulus = division_system().modulus
     # (m+1)|a2| >= 1 + (n+1)(|a1/a2| + 1)
