@@ -16,12 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .core import ApproxSystem
-from .errors import (
-    DimensionError,
-    DomainError,
-    FormatError,
-    SearchTimeout,
-)
+from .errors import DimensionError, DomainError, FormatError, SearchTimeout, at_least
 from .evaluate import apply, default_budget_schedule, eval_name, make_budget_schedule
 from .names import name_of_point
 from .numerics import Point, Rat, as_rat, decimal_str
@@ -43,20 +38,13 @@ from .verify import (
     verify_condition2,
 )
 
-_BUILTIN_SYSTEMS = {
-    "division": division_system,
-    "maximal-division": maximal_division_system,
-    "cosine": cosine_system,
-    "square": squaring_system,
-}
-
-# the oracle that audits each built-in system; `--oracle` names an oracle
-# by its own name, the system it was written for
-_ORACLES = {
-    "division": division_oracle,
-    "maximal-division": division_oracle,
-    "cosine": cosine_oracle,
-    "square": squaring_oracle,
+# each built-in system and the oracle that audits it; `--oracle` names an
+# oracle by its own name, the system it was written for
+_BUILTINS = {
+    "division": (division_system, division_oracle),
+    "maximal-division": (maximal_division_system, division_oracle),
+    "cosine": (cosine_system, cosine_oracle),
+    "square": (squaring_system, squaring_oracle),
 }
 
 _EXIT_OK = 0
@@ -70,13 +58,6 @@ class _UsageError(Exception):
     pass
 
 
-def _at_least(flag: str, value: Optional[int], least: int = 0):
-    """Usage error unless the option is unset or at least `least`."""
-    if value is not None and value < least:
-        kind = "a natural number" if least == 0 else "positive"
-        raise _UsageError(f"{flag} must be {kind}")
-
-
 def _parse_point(text: str) -> Point:
     try:
         return tuple(as_rat(part) for part in text.split(","))
@@ -85,14 +66,14 @@ def _parse_point(text: str) -> Point:
 
 
 def _resolve_system(spec: str) -> ApproxSystem:
-    if spec in _BUILTIN_SYSTEMS:
-        return _BUILTIN_SYSTEMS[spec]()
+    if spec in _BUILTINS:
+        return _BUILTINS[spec][0]()
     if spec.endswith(".json") or os.path.exists(spec):
         formula, nvars = load_formula(spec)
         return semialgebraic_system(formula, nvars, name=os.path.basename(spec))
     raise _UsageError(
         f"unknown system {spec!r}: expected one of "
-        f"{sorted(_BUILTIN_SYSTEMS)} or a formula file path"
+        f"{sorted(_BUILTINS)} or a formula file path"
     )
 
 
@@ -107,13 +88,11 @@ def _precision_index(args) -> int:
         return max(0, math.ceil(Fraction(1) / eps) - 1)
     if args.prec_index is None:
         raise _UsageError("one of --prec-index or --eps is required")
-    _at_least("--prec-index", args.prec_index)
     return args.prec_index
 
 
 def _budget_schedule(args):
     if args.budget is not None:
-        _at_least("--budget", args.budget)
         return lambda i: args.budget
     base_text = os.environ.get("APPROXSYS_DEFAULT_BUDGET")
     if base_text is not None:
@@ -123,8 +102,7 @@ def _budget_schedule(args):
             raise _UsageError(
                 f"APPROXSYS_DEFAULT_BUDGET must be an integer, got {base_text!r}"
             ) from exc
-        if base <= 0:
-            raise _UsageError("APPROXSYS_DEFAULT_BUDGET must be positive")
+        at_least(1, APPROXSYS_DEFAULT_BUDGET=base)
         return make_budget_schedule(base)
     return default_budget_schedule
 
@@ -148,7 +126,8 @@ def _print_eval(value: Rat, n: int, steps: Optional[int], args):
 
 
 def _cmd_eval(args) -> int:
-    _at_least("--digits", args.digits)
+    at_least(0, **{"--digits": args.digits, "--prec-index": args.prec_index,
+                   "--budget": args.budget})
     n = _precision_index(args)
     schedule = _budget_schedule(args)
     if (args.system is None) == (args.compose is None):
@@ -175,8 +154,7 @@ def _cmd_eval(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.system is None:
         raise _UsageError("--system is required")
-    _at_least("--count", args.count)
-    _at_least("--scan-cap", args.scan_cap)
+    at_least(0, **{"--count": args.count, "--scan-cap": args.scan_cap})
     system = _resolve_system(args.system)
     members = system.members_prefix(args.count, args.scan_cap)
     if args.output == "json":
@@ -206,17 +184,15 @@ def _verdict_lines(label: str, verdict: Verdict) -> List[str]:
 def _cmd_verify(args) -> int:
     if args.system is None:
         raise _UsageError("--system is required")
-    _at_least("--quads", args.quads, least=1)
-    _at_least("--xi-per-quad", args.xi_per_quad, least=1)
-    _at_least("--scan-cap", args.scan_cap)
-    _at_least("--cond2-n", args.cond2_n)
+    at_least(1, **{"--quads": args.quads, "--xi-per-quad": args.xi_per_quad})
+    at_least(0, **{"--scan-cap": args.scan_cap, "--cond2-n": args.cond2_n})
     system = _resolve_system(args.system)
-    factory = _ORACLES.get(args.oracle or args.system)
-    if factory is None:
+    builtin = _BUILTINS.get(args.oracle or args.system)
+    if builtin is None:
         raise _UsageError(
             "formula systems need --oracle to say what they claim to compute"
         )
-    oracle = factory()
+    oracle = builtin[1]()
     if args.cond2_xi is not None:
         xi = _parse_point(args.cond2_xi)
         if len(xi) != system.dim_in:
@@ -285,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--xi-per-quad", type=int, default=10)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--scan-cap", type=int, help="max codes to scan")
-    p_verify.add_argument("--oracle", choices=sorted({f().name for f in _ORACLES.values()}))
+    p_verify.add_argument("--oracle", choices=sorted({o().name for _, o in _BUILTINS.values()}))
     p_verify.add_argument("--cond2-xi", help="also audit productivity at this point")
     p_verify.add_argument("--cond2-n", type=int, default=4)
 

@@ -29,7 +29,7 @@ from itertools import compress, islice
 from operator import eq, itemgetter
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, at_least, positive_dim
 from .numerics import (
     Point,
     Rat,
@@ -198,8 +198,7 @@ class ApproxSystem:
         one past the last member listed and decides again the codes up to
         the one that raised.
         """
-        if count < 0 or (scan_cap is not None and scan_cap < 0):
-            raise DomainError(f"count {count} and scan_cap {scan_cap} must be natural numbers")
+        at_least(0, count=count, scan_cap=scan_cap)
         if scan_cap is None:
             scan_cap = _DEFAULT_CAP_PER_MEMBER * count + _DEFAULT_CAP_FLOOR
         with self._prefix_lock:
@@ -246,9 +245,7 @@ class DecidableSystem(ApproxSystem):
                                Callable[[int, Rat, int], object]]] = None,
     ):
         super().__init__()
-        if dim <= 0:
-            raise DimensionError("system dimension must be positive")
-        self.dim_in = dim
+        self.dim_in = positive_dim(dim)
         self.name = name
         self.modulus = modulus
         self.screen = screen

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules that raise them."""
 
 
 class ApproxSysError(Exception):
@@ -28,3 +28,18 @@ class SearchTimeout(ApproxSysError):
     def __init__(self, budget: int):
         super().__init__(f"search budget of {budget} steps exhausted")
         self.budget = budget
+
+
+def at_least(least: int, **args):
+    """DomainError "<name> must be at least <least>, got <value>" on the
+    first argument below `least`; arguments that are None are unset."""
+    for name, value in args.items():
+        if value is not None and value < least:
+            raise DomainError(f"{name} must be at least {least}, got {value}")
+
+
+def positive_dim(dim: int) -> int:
+    """dim itself; DimensionError unless it is at least 1."""
+    if dim < 1:
+        raise DimensionError(f"dimension must be at least 1, got {dim}")
+    return dim

@@ -41,7 +41,7 @@ from itertools import count
 from typing import Callable, List, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple, decode_quadruple
-from .errors import DimensionError, DomainError, SearchTimeout
+from .errors import DimensionError, SearchTimeout, at_least, positive_dim
 from .names import OrdinaryName
 from .numerics import Point, Rat, cantor_split, decode_rat, decode_tuple
 
@@ -71,7 +71,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
     indistinguishable by design).
     """
     if n < 0 or budget < 0:
-        raise DomainError(f"precision index {n} and budget {budget} must be natural numbers")
+        at_least(0, n=n, budget=budget)
     if f.dim != system.dim_in:
         raise DimensionError(
             f"{system.name}: name of dimension {f.dim}, system expects {system.dim_in}"
@@ -116,9 +116,14 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
             return EvalResult(quad.b, n, used)
 
 
+# The default budget doubles with n up to n = 64: no search spends 10^4 * 2^64
+# probes, and an uncapped 2^n is an n-bit integer built before the first one.
+_BUDGET_DOUBLINGS = 64
+
+
 def make_budget_schedule(base: int) -> Callable[[int], int]:
     def schedule(n: int) -> int:
-        return base * (1 << n)
+        return base * (1 << min(n, _BUDGET_DOUBLINGS))
 
     return schedule
 
@@ -235,10 +240,8 @@ class _OperatorSystem(ApproxSystem):
 
     def __init__(self, operator: NameOperator, dim: int):
         super().__init__()
-        if dim <= 0:
-            raise DimensionError("system dimension must be positive")
         self._T = operator
-        self.dim_in = dim
+        self.dim_in = positive_dim(dim)
         self.name = "operator-system"
         self.provides_witness = True
 

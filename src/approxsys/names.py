@@ -18,14 +18,8 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, at_least, positive_dim
 from .numerics import Point, as_point, dist
-
-
-def _check_dim(dim: int) -> int:
-    if dim < 1:
-        raise DimensionError(f"name dimension {dim} must be positive")
-    return dim
 
 
 class _MemoSeq:
@@ -33,7 +27,7 @@ class _MemoSeq:
 
     def __init__(self, fun: Callable[[int], Point], dim: int):
         self._fun = fun
-        self.dim = _check_dim(dim)
+        self.dim = positive_dim(dim)
         self._cache: dict[int, Point] = {}
         self._lock = threading.RLock()
 
@@ -65,7 +59,7 @@ class _ConstantName(OrdinaryName):
     """Ordinary name whose every index carries the same exact point."""
 
     def __init__(self, point: Point):
-        self.dim = _check_dim(len(point))
+        self.dim = positive_dim(len(point))
         self._point = point
 
     def approx(self, i: int) -> Point:
@@ -125,8 +119,7 @@ def check_name_consistency(f: OrdinaryName, upto: int):
     (i, k) in lexicographic order, or None.  A None result is consistency up
     to the horizon, not validity.  DomainError on a negative horizon.
     """
-    if upto < 0:
-        raise DomainError(f"horizon {upto} must be a natural number")
+    at_least(0, upto=upto)
     points = [f.approx(i) for i in range(upto + 1)]
     for i in range(upto + 1):
         for k in range(i + 1, upto + 1):

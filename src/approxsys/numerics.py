@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError, positive_dim
 
 Rat = Fraction
 Point = Tuple[Fraction, ...]
@@ -181,8 +181,7 @@ def encode_point(p: Point) -> int:
 
 @lru_cache(maxsize=_DECODE_CACHE)
 def decode_point(code: int, dim: int) -> Point:
-    if dim <= 0:
-        raise DimensionError("dimension must be positive")
+    positive_dim(dim)
     coords = []
     for _ in range(dim - 1):
         first, code = cantor_split(code)

@@ -32,7 +32,7 @@ from itertools import chain, islice, product
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, at_least
 from .numerics import Point, Rat, as_point, rat_div
 
 
@@ -104,12 +104,6 @@ class Verdict:
 def _same_dim(left: str, left_dim: int, right: str, right_dim: int):
     if left_dim != right_dim:
         raise DimensionError(f"{left} has dimension {left_dim}, {right} has dimension {right_dim}")
-
-
-def _at_least(least: int, **args: int):
-    for name, value in args.items():
-        if value < least:
-            raise DomainError(f"{name} must be at least {least}, got {value}")
 
 
 # --- reference oracles ----------------------------------------------------------
@@ -320,7 +314,7 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     the module docstring) counts its samples without evaluating them.
     """
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
-    _at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
+    at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
     quads = system.members_prefix(quad_samples, scan_cap)
     samples = proved = straddles = refined = 0
     for quad in quads:
@@ -376,8 +370,8 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     xi = as_point(xi)
     _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     _same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
-    _at_least(0, n=n, m_cap=m_cap, budget=budget)
-    _at_least(1, a_samples=a_samples)
+    at_least(0, n=n, m_cap=m_cap, budget=budget)
+    at_least(1, a_samples=a_samples)
     quarter = Fraction(1, 4 * (n + 1))
     at_xi = [oracle.eval(xi, quarter)] if oracle.domain_test(xi) else []
     samples = 0
@@ -411,8 +405,8 @@ def brute_force_condition1_check(a: Point, m: int, b: Rat, n: int,
     if not oracle.exact:
         raise DomainError("brute_force_condition1_check needs an exact oracle")
     _same_dim("point a", len(a), f"oracle {oracle.name}", oracle.dim)
-    _at_least(0, m=m, n=n)
-    _at_least(1, grid=grid)
+    at_least(0, m=m, n=n)
+    at_least(1, grid=grid)
     r = Fraction(1, m + 1)
     bound = Fraction(1, n + 1)
     offsets = [r * Fraction(2 * j + 1 - grid, grid) for j in range(grid)]
@@ -436,8 +430,8 @@ def verify_containment(sub: ApproxSystem, sup: ApproxSystem, count: int = 1000,
     Inconclusive.
     """
     _same_dim(f"system {sub.name}", sub.dim_in, f"system {sup.name}", sup.dim_in)
-    _at_least(0, budget=budget)
-    _at_least(1, count=count)
+    at_least(0, budget=budget)
+    at_least(1, count=count)
     quads = sub.members_prefix(count, scan_cap)
     for idx, q in enumerate(quads):
         if sup.membership(q, budget) is not Membership.YES:

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from approxsys.core import ApproxSystem
 from approxsys.names import CauchyName, OrdinaryName
+from approxsys.systems import division_system
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail record survives output capturing.
@@ -15,6 +17,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class EnumerableDivision(ApproxSystem):
+    """Division's members, reachable only through the enumeration: no decide
+    and no witness, so membership scans codes and apply dovetails."""
+
+    dim_in = 2
+    name = "division-enumerable"
+
+    def enumerate(self, k):
+        return division_system().enumerate(k)
 
 
 def corners(a, m):

@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import shlex
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -121,6 +122,13 @@ def test_eval_usage_errors(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+    # natural-number flags break the package's one rule, checked before any work
+    for argv, message in [
+        (("--prec-index", "-1"), "--prec-index must be at least 0, got -1"),
+        (("--prec-index", "4", "--budget", "-2"), "--budget must be at least 0, got -2"),
+    ]:
+        code, out, err = run(capsys, "eval", "--system", "division", "--point", "1,3", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_signed_rationals_follow_their_option_after_a_space(capsys):
@@ -143,8 +151,7 @@ def test_eval_negative_digits_prints_nothing(capsys):
         capsys, "eval", "--system", "division", "--point", "1,3",
         "--prec-index", "4", "--digits", "-2",
     )
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "--digits" in err
+    assert (code, out, err) == (1, "", "error: --digits must be at least 0, got -2\n")
 
 
 def test_eval_compose(capsys):
@@ -195,6 +202,20 @@ def test_eval_compose_innermost_system_of_any_dimension(capsys):
     assert err == "error: division: name of dimension 1, system expects 2\n"
 
 
+@pytest.mark.parametrize("system,point", [
+    ("division", "1,3"), ("maximal-division", "1,3"), ("cosine", "1"), ("square", "3/2"),
+])
+def test_eval_at_a_huge_precision_index_certifies_in_one_probe(capsys, system, point):
+    # the default budget at n = 10^12 is 10^4 * 2^64, not a 10^12-bit integer
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "eval", "--system", system, "--point", point, "--prec-index", str(10**12),
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert "precision_index = 1000000000000\nsearch_steps = 1\n" in out
+
+
 @pytest.mark.parametrize("n", [0, 3, 10])
 @pytest.mark.parametrize("den", [100, 1000])
 def test_eval_division_near_the_pole(capsys, den, n):
@@ -227,11 +248,13 @@ def test_env_default_budget(capsys, monkeypatch):
 
     for bad in ("abc", "0", "-5"):
         monkeypatch.setenv("APPROXSYS_DEFAULT_BUDGET", bad)
-        code, _, err = run(
+        code, out, err = run(
             capsys, "eval", "--system", "division", "--point", "0,1",
             "--prec-index", "0",
         )
-        assert code == 1 and err.startswith("error:")
+        assert code == 1 and out == "" and err.startswith("error:")
+        if bad != "abc":
+            assert err == f"error: APPROXSYS_DEFAULT_BUDGET must be at least 1, got {bad}\n"
 
 
 # --- enumerate ---------------------------------------------------------------------
@@ -269,8 +292,8 @@ def test_enumerate_json_lists_quadruple_records(capsys):
 def test_enumerate_count_zero_and_negative(capsys):
     code, out, _ = run(capsys, "enumerate", "--system", "division", "--count", "0")
     assert code == 0 and out == ""
-    code, _, err = run(capsys, "enumerate", "--system", "division", "--count", "-1")
-    assert code == 1 and err.startswith("error:")
+    code, out, err = run(capsys, "enumerate", "--system", "division", "--count", "-1")
+    assert (code, out, err) == (1, "", "error: --count must be at least 0, got -1\n")
 
 
 @pytest.mark.parametrize("command", ["enumerate", "verify"])
@@ -284,8 +307,7 @@ def test_enumerate_negative_scan_cap(capsys):
     code, out, err = run(
         capsys, "enumerate", "--system", "division", "--scan-cap", "-4",
     )
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "--scan-cap" in err
+    assert (code, out, err) == (1, "", "error: --scan-cap must be at least 0, got -4\n")
 
 
 def test_enumerate_scan_horizon_message(capsys, tmp_path):
@@ -395,8 +417,8 @@ def test_verify_usage_errors(capsys, flag, value):
     code, out, err = run(
         capsys, "verify", "--system", "division", "--cond2-xi", "1,3", flag, value,
     )
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and flag in err
+    least = 1 if flag in ("--quads", "--xi-per-quad") else 0
+    assert (code, out, err) == (1, "", f"error: {flag} must be at least {least}, got {value}\n")
 
 
 # --- formula files ---------------------------------------------------------------------

@@ -25,6 +25,7 @@ from approxsys.systems import (
     semialgebraic_system,
     squaring_system,
 )
+from conftest import EnumerableDivision
 
 rationals = st.fractions(max_denominator=60)
 small_nats = st.integers(min_value=0, max_value=200)
@@ -87,18 +88,8 @@ def test_membership_decidable_ignores_budget():
     assert div.membership(non_member, 10**6) is Membership.NOT_YET
 
 
-class _EnumerableFacade(ApproxSystem):
-    """Same members as division but with decide hidden: membership must scan."""
-
-    dim_in = 2
-    name = "division-enumerable"
-
-    def enumerate(self, k):
-        return division_system().enumerate(k)
-
-
 def test_generic_membership_budget_boundary():
-    sys = _EnumerableFacade()
+    sys = EnumerableDivision()
     q = Quadruple((F(0), F(1)), 1, F(0), 0)  # sits at code 7
     assert sys.membership(q, 6) is Membership.NOT_YET
     assert sys.membership(q, 7) is Membership.YES
@@ -106,8 +97,9 @@ def test_generic_membership_budget_boundary():
 
 @pytest.mark.parametrize("dim", [0, -1])
 def test_decidable_system_rejects_nonpositive_dimension(dim):
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError) as info:
         DecidableSystem(lambda q: True, dim)
+    assert str(info.value) == f"dimension must be at least 1, got {dim}"
 
 
 def test_membership_dimension_check():
@@ -142,8 +134,12 @@ def test_members_prefix_honours_scan_cap_on_warm_cache(fresh):
 def test_members_prefix_rejects_negative_count_or_scan_cap(count, scan_cap):
     div = division_system.__wrapped__()
     div.members_prefix(200)
-    with pytest.raises(DomainError):
+    scanned = div._scanned
+    with pytest.raises(DomainError) as info:
         div.members_prefix(count, scan_cap)
+    name, value = ("count", count) if count < 0 else ("scan_cap", scan_cap)
+    assert str(info.value) == f"{name} must be at least 0, got {value}"
+    assert div._scanned == scanned
     assert div.members_prefix(0) == []
 
 
@@ -372,7 +368,7 @@ def test_members_prefix_resumes_one_past_the_last_member_listed():
 
 
 def test_generic_walk_resumes_one_past_the_last_member_listed():
-    class Flaky(_EnumerableFacade):
+    class Flaky(EnumerableDivision):
         calls = 0
 
         def enumerate(self, k):

@@ -39,7 +39,7 @@ from approxsys.systems import (
     squaring_system,
 )
 from approxsys.verify import cos_taylor
-from conftest import edge_cauchy_name, edge_ordinary_name
+from conftest import EnumerableDivision, edge_cauchy_name, edge_ordinary_name
 
 # --- search plumbing ---------------------------------------------------------
 
@@ -48,6 +48,13 @@ def test_budget_schedules():
     assert default_budget_schedule(3) == 80_000
     assert make_budget_schedule(7)(0) == 7
     assert make_budget_schedule(7)(5) == 224
+
+
+def test_default_budget_doubles_up_to_n_64_only():
+    assert default_budget_schedule(64) == 10_000 << 64
+    assert default_budget_schedule(65) == default_budget_schedule(64)
+    # uncapped, this is a 10^7-bit integer (1.25 MB) built before any probe
+    assert default_budget_schedule(10**7).bit_length() < 100
 
 
 # --- apply on the built-ins -----------------------------------------------------
@@ -89,8 +96,10 @@ def _unreadable_name():
 @pytest.mark.parametrize("n, budget", [(-1, 10), (0, -1), (-3, -3)])
 def test_apply_rejects_negative_index_or_budget_before_reading(n, budget):
     # before: IndexError from the name (n < 0), or a search of -1 steps
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         apply(_NoReads(), _unreadable_name(), n, budget)
+    name, value = ("n", n) if n < 0 else ("budget", budget)
+    assert str(info.value) == f"{name} must be at least 0, got {value}"
     with pytest.raises(DomainError):
         apply(division_system(), name_of_point((F(1), F(2))), n, budget)
 
@@ -133,20 +142,10 @@ def test_apply_deterministic_and_budget_monotone():
         apply(sq, f, 9, first.search_steps - 1)
 
 
-class _EnumerableDivision(ApproxSystem):
-    """Division members, but only reachable through the enumeration."""
-
-    dim_in = 2
-    name = "division-enumerable"
-
-    def enumerate(self, k):
-        return division_system().enumerate(k)
-
-
 def test_dovetail_on_enumerable_system():
     # no witness, no decide: the dovetail must certify (0/1 -> 0) on its
     # own, scanning (l, j, s) codes; the hit sits at code 43, so 44 probes
-    sys = _EnumerableDivision()
+    sys = EnumerableDivision()
     res = apply(sys, name_of_point((F(0), F(1))), 0, 10**4)
     assert res == EvalResult(F(0), 0, 44)
     assert apply(sys, name_of_point((F(0), F(1))), 0, 44) == res
@@ -518,7 +517,7 @@ def test_dead_operator_has_no_witness():
 
 def test_operator_system_rejects_nonpositive_dimension():
     for dim in (0, -1):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=f"^dimension must be at least 1, got {dim}$"):
             system_from_operator(_DeadOperator(), dim)
 
 

@@ -9,7 +9,8 @@ somewhere in the module.  `__init__.py` re-exports by importing, and
 A private name (`_x`, not a dunder) bound at module level by a def, class
 or assignment must be read, as a name, an attribute or an import, in some
 module of the package, and so must a private attribute stored by an
-assignment such as `self._x = ...`.
+assignment such as `self._x = ...`.  No module-level def or class name is
+defined in two modules: one rule is stated once and imported.
 """
 
 import ast
@@ -94,6 +95,17 @@ def unread_private_attributes(sources):
                   if s[2].startswith("_") and not s[2].startswith("__") and s[2] not in read)
 
 
+def names_defined_twice(sources):
+    """(name, modules) for each module-level def or class name that more
+    than one module in `sources` (module name -> source) defines."""
+    defined = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(module)
+    return sorted((name, modules) for name, modules in defined.items() if len(modules) > 1)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -117,6 +129,34 @@ def test_package_reads_every_private_attribute():
     package = Path(approxsys.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unread_private_attributes(sources) == []
+
+
+def test_package_defines_each_name_once():
+    package = Path(approxsys.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert names_defined_twice(sources) == []
+
+
+def test_name_defined_twice_is_reported():
+    sources = {
+        "a.py": ("def _check(x):\n"
+                 "    return x\n"
+                 "class Box:\n"
+                 "    def _check(self):\n"
+                 "        pass\n"
+                 "def once():\n"
+                 "    pass\n"),
+        "b.py": ("from .a import once\n"
+                 "_check = None\n"
+                 "def _check(y):\n"
+                 "    def Box():\n"
+                 "        pass\n"
+                 "    return y\n"
+                 "class Box:\n"
+                 "    pass\n"),
+    }
+    assert names_defined_twice(sources) == [("Box", ["a.py", "b.py"]),
+                                            ("_check", ["a.py", "b.py"])]
 
 
 def test_unreferenced_private_name_is_reported():

@@ -162,7 +162,7 @@ def test_check_name_consistency_flags_corruption():
 def test_check_name_consistency_rejects_a_negative_horizon():
     reads = []
     f = OrdinaryName(lambda i: reads.append(i) or (F(0),), dim=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^upto must be at least 0, got -3$"):
         check_name_consistency(f, -3)
     assert reads == []
 
@@ -214,7 +214,7 @@ def test_negative_index_rejected():
 def test_memoised_name_rejects_a_dimension_below_one_at_construction(dim):
     calls = []
     for cls in (OrdinaryName, CauchyName):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=f"^dimension must be at least 1, got {dim}$"):
             cls(lambda i: calls.append(i) or (), dim=dim)
     assert calls == []
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from approxsys import verify
-from approxsys.core import ApproxSystem, DecidableSystem, Membership, Quadruple
+from approxsys.core import DecidableSystem, Membership, Quadruple
 from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
     atom,
@@ -32,7 +32,7 @@ from approxsys.verify import (
     verify_condition2,
     verify_containment,
 )
-from conftest import corners
+from conftest import EnumerableDivision, corners
 
 # --- reference oracle ---------------------------------------------------------
 
@@ -645,23 +645,15 @@ def test_containment_counterexample_carries_the_quadruple_record():
     assert v.witness == {"quad": missing.to_json_dict()}
 
 
-class _EnumerableDivision(ApproxSystem):
-    dim_in = 2
-    name = "division-enumerable"
-
-    def enumerate(self, k):
-        return division_system().enumerate(k)
-
-
 def test_containment_against_enumerable_sup():
     sub = division_system()
-    tight = verify_containment(sub, _EnumerableDivision(), count=1, budget=3)
+    tight = verify_containment(sub, EnumerableDivision(), count=1, budget=3)
     assert tight.outcome is Outcome.INCONCLUSIVE
-    roomy = verify_containment(sub, _EnumerableDivision(), count=1, budget=4096)
+    roomy = verify_containment(sub, EnumerableDivision(), count=1, budget=4096)
     assert roomy.outcome is Outcome.PASS
 
 
-class _DecidingDivision(_EnumerableDivision):
+class _DecidingDivision(EnumerableDivision):
     """A generic system that sets decide: membership answers from it."""
 
     name = "division-deciding"
@@ -681,7 +673,7 @@ def test_generic_membership_answers_from_decide_at_any_budget():
 
 
 def test_condition2_on_an_enumerable_only_system_has_no_witness():
-    system = _EnumerableDivision()
+    system = EnumerableDivision()
     assert system.witness((F(1), F(3)), 0, 4) is None
     v = verify_condition2(system, division_oracle(), (F(1), F(3)), 4,
                           m_cap=2, a_samples=1, budget=50)
@@ -752,6 +744,12 @@ def test_containment_dimension_checked_before_any_scan():
 
 # --- argument checks ---------------------------------------------------------------------
 
+def _below(least, **args):
+    """The message of errors.at_least for the first argument below `least`."""
+    name, value = next((k, v) for k, v in args.items() if v < least)
+    return f"^{name} must be at least {least}, got {value}$"
+
+
 @pytest.mark.parametrize("kwargs", [
     {"quad_samples": 0},  # unchecked, a pass on 0 samples
     {"xi_samples": 0},  # unchecked, a pass on 0 samples
@@ -759,7 +757,7 @@ def test_containment_dimension_checked_before_any_scan():
 ])
 def test_condition1_rejects_empty_sample_counts(kwargs):
     counting, calls = _counting_system(2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=_below(1, **kwargs)):
         verify_condition1(counting, division_oracle(), **kwargs)
     assert calls == []
 
@@ -771,7 +769,8 @@ def test_condition1_rejects_empty_sample_counts(kwargs):
 ])
 def test_condition2_rejects_meaningless_arguments(n, a_samples):
     counting, calls = _counting_system(2)
-    with pytest.raises(DomainError):
+    message = _below(0, n=n) if n < 0 else _below(1, a_samples=a_samples)
+    with pytest.raises(DomainError, match=message):
         verify_condition2(counting, division_oracle(), (F(1), F(3)), n, a_samples=a_samples)
     assert calls == []
 
@@ -792,14 +791,16 @@ def test_brute_force_rejects_meaningless_arguments(m, n, grid):
         return div.eval(xi, eps)
 
     oracle = RefOracle(counting_eval, div.domain_test, div.exact, div.name, div.dim)
-    with pytest.raises(DomainError):
+    message = _below(0, m=m, n=n) if min(m, n) < 0 else _below(1, grid=grid)
+    with pytest.raises(DomainError, match=message):
         brute_force_condition1_check((F(1), F(3)), m, F(1, 3), n, oracle, grid=grid)
     assert asked == []
 
 
 def test_condition1_rejects_negative_scan_cap():
     counting, calls = _counting_system(2)
-    with pytest.raises(DomainError):  # unchecked, a pass on 0 quadruples
+    # unchecked, a pass on 0 quadruples
+    with pytest.raises(DomainError, match=_below(0, scan_cap=-1)):
         verify_condition1(counting, division_oracle(), scan_cap=-1)
     assert calls == []
 
@@ -810,7 +811,7 @@ def test_condition1_rejects_negative_scan_cap():
 ])
 def test_condition2_rejects_negative_cap_or_budget(kwargs):
     counting, calls = _counting_system(2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=_below(0, **kwargs)):
         verify_condition2(counting, division_oracle(), (F(1), F(3)), 4, **kwargs)
     assert calls == []
 
@@ -823,7 +824,8 @@ def test_condition2_rejects_negative_cap_or_budget(kwargs):
 ])
 def test_containment_rejects_meaningless_arguments(kwargs):
     counting, calls = _counting_system(2)
-    with pytest.raises(DomainError):
+    least = 1 if "count" in kwargs else 0
+    with pytest.raises(DomainError, match=_below(least, **kwargs)):
         verify_containment(counting, division_system(), **{"count": 20, **kwargs})
     assert calls == []
 
