@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .core import ApproxSystem
-from .errors import DimensionError, DomainError, FormatError, SearchTimeout, at_least
+from .errors import DimensionError, DomainError, FormatError, SearchTimeout, at_least, same_dim
 from .evaluate import apply, default_budget_schedule, eval_name, make_budget_schedule
 from .names import name_of_point
 from .numerics import Point, Rat, as_rat, decimal_str
@@ -195,10 +195,7 @@ def _cmd_verify(args) -> int:
     oracle = builtin[1]()
     if args.cond2_xi is not None:
         xi = _parse_point(args.cond2_xi)
-        if len(xi) != system.dim_in:
-            raise _UsageError(
-                f"--cond2-xi must have dimension {system.dim_in}"
-            )
+        same_dim("--cond2-xi", len(xi), f"system {system.name}", system.dim_in)
 
     verdicts = {}
     verdicts["condition1"] = verify_condition1(

@@ -29,7 +29,7 @@ from itertools import compress, islice
 from operator import eq, itemgetter
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .errors import DimensionError, at_least, positive_dim
+from .errors import at_least, positive_dim, same_dim
 from .numerics import (
     Point,
     Rat,
@@ -137,9 +137,7 @@ class ApproxSystem:
 
     def _check_dim(self, a: Point):
         if len(a) != self.dim_in:
-            raise DimensionError(
-                f"{self.name}: point of dimension {len(a)}, system expects {self.dim_in}"
-            )
+            same_dim("point", len(a), f"system {self.name}", self.dim_in)
 
     def enumerate(self, k: int) -> Optional[Quadruple]:
         """The k-th member candidate, or None when slot k is empty.

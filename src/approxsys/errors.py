@@ -38,6 +38,13 @@ def at_least(least: int, **args):
             raise DomainError(f"{name} must be at least {least}, got {value}")
 
 
+def same_dim(left: str, left_dim: int, right: str, right_dim: int):
+    """DimensionError "<left> has dimension <d>, <right> has dimension <e>"
+    unless the two dimensions agree: the one matching-dimension rule."""
+    if left_dim != right_dim:
+        raise DimensionError(f"{left} has dimension {left_dim}, {right} has dimension {right_dim}")
+
+
 def positive_dim(dim: int) -> int:
     """dim itself; DimensionError unless it is at least 1."""
     if dim < 1:

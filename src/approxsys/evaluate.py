@@ -41,7 +41,7 @@ from itertools import count
 from typing import Callable, List, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple, decode_quadruple
-from .errors import DimensionError, SearchTimeout, at_least, positive_dim
+from .errors import SearchTimeout, at_least, positive_dim, same_dim
 from .names import OrdinaryName
 from .numerics import Point, Rat, cantor_split, decode_rat, decode_tuple
 
@@ -73,9 +73,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
     if n < 0 or budget < 0:
         at_least(0, n=n, budget=budget)
     if f.dim != system.dim_in:
-        raise DimensionError(
-            f"{system.name}: name of dimension {f.dim}, system expects {system.dim_in}"
-        )
+        same_dim("name", f.dim, f"system {system.name}", system.dim_in)
     used = 0
 
     # phase A: the witness at the index the modulus names, then a ladder

@@ -18,7 +18,7 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DimensionError, at_least, positive_dim
+from .errors import at_least, positive_dim, same_dim
 from .numerics import Point, as_point, dist
 
 
@@ -38,11 +38,7 @@ class _MemoSeq:
             value = self._cache.get(i)
             if value is None:
                 value = as_point(self._fun(i))
-                if len(value) != self.dim:
-                    raise DimensionError(
-                        f"name of dimension {self.dim} produced a point "
-                        f"of dimension {len(value)}"
-                    )
+                same_dim(f"point at index {i}", len(value), "name", self.dim)
                 self._cache[i] = value
         return value
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
-from .errors import DimensionError, DomainError, FormatError, positive_dim
+from .errors import DomainError, FormatError, at_least, positive_dim, same_dim
 
 Rat = Fraction
 Point = Tuple[Fraction, ...]
@@ -77,8 +77,7 @@ def rat_div(x: Rat, y: Rat) -> Rat:
 
 def decimal_str(x: Rat, digits: int) -> str:
     """Decimal rendering of x, rounded to `digits` places (ties to even)."""
-    if digits < 0:
-        raise FormatError("digits must be >= 0")
+    at_least(0, digits=digits)
     scaled = round(x * 10**digits)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
@@ -90,10 +89,8 @@ def decimal_str(x: Rat, digits: int) -> str:
 
 def dist(p: Point, q: Point) -> Rat:
     """Max metric on Q^N."""
-    if len(p) != len(q):
-        raise DimensionError(f"points of dimension {len(p)} and {len(q)}")
-    if not p:
-        raise DimensionError("zero-dimensional point")
+    same_dim("point p", len(p), "point q", len(q))
+    positive_dim(len(p))
     return max(abs(a - b) for a, b in zip(p, q))
 
 
@@ -110,7 +107,7 @@ def cantor_split(k: int) -> Tuple[int, int]:
     try:
         t = (math.isqrt(8 * k + 1) - 1) // 2
     except ValueError:  # isqrt of a negative number: k < 0
-        raise DomainError("codes are natural numbers") from None
+        at_least(0, code=k)
     y = k - t * (t + 1) // 2
     return t - y, y
 
@@ -129,10 +126,9 @@ def encode_tuple(xs: Sequence[int]) -> int:
 
 def decode_tuple(code: int, length: int) -> Tuple[int, ...]:
     """Inverse of encode_tuple for a known tuple length."""
-    if length <= 0:
-        raise DomainError("tuple length must be positive")
-    if code < 0:
-        raise DomainError("codes are natural numbers")
+    if length < 1 or code < 0:
+        at_least(1, length=length)
+        at_least(0, code=code)
     rev = []
     for _ in range(length - 1):
         code, last = cantor_split(code)
@@ -170,8 +166,7 @@ def decode_rat(j: int) -> Rat:
 
 def encode_point(p: Point) -> int:
     """Right-nested code of a point: (x, y, z) -> C(j(x), C(j(y), j(z)))."""
-    if not p:
-        raise DimensionError("zero-dimensional point")
+    positive_dim(len(p))
     codes = [encode_rat(c) for c in p]
     acc = codes[-1]
     for c in reversed(codes[:-1]):

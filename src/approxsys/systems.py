@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .core import DecidableSystem, Modulus, Quadruple
 from .errors import FormatError
@@ -312,16 +312,33 @@ def atom(op: str, *monomials) -> Atom:
     return Atom(op, tuple((c, tuple(e)) for c, e in monomials))
 
 
-def _truth(formula: Formula, row_of) -> Callable[[List[List[int]], Rat], bool]:
-    """holds(rows, b), the formula's truth at b: rows[row_of[id(atom)]] is
-    the atom's row in _compile's evaluator, and _sign_at takes its sign."""
+def _truth(formula: Formula, nvars: int, atoms: List[Atom]) -> Callable[[List[List[int]], Rat], bool]:
+    """holds(rows, b), the formula's truth at b, where rows[i] is the row of
+    atoms[i] in _compile's evaluator and _sign_at takes its sign.
+
+    Appends the formula's atoms to `atoms`, left to right, checking each as
+    it goes; FormatError on the first bad atom, or on reaching a node that
+    is no Atom, FAnd, FOr or FNot.
+    """
     if isinstance(formula, Atom):
-        i, strict = row_of[id(formula)], formula.op == ">"
+        if formula.op not in (">", ">="):
+            raise FormatError(f"unknown comparison {formula.op!r}")
+        for coef, exps in formula.poly:
+            if isinstance(coef, bool) or not isinstance(coef, int):
+                raise FormatError("polynomial coefficients must be integers")
+            if len(exps) != nvars + 3:
+                raise FormatError(f"exponent vector of length {len(exps)}, expected {nvars + 3}")
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+                raise FormatError("exponents must be natural numbers")
+        i, strict = len(atoms), formula.op == ">"
+        atoms.append(formula)
         return lambda rows, b: _sign_at(rows[i], b) >= strict
     if isinstance(formula, FNot):
-        arg = _truth(formula.arg, row_of)
+        arg = _truth(formula.arg, nvars, atoms)
         return lambda rows, b: not arg(rows, b)
-    args = [_truth(f, row_of) for f in formula.args]
+    if not isinstance(formula, (FAnd, FOr)):
+        raise FormatError(f"not a formula node: {formula!r}")
+    args = [_truth(f, nvars, atoms) for f in formula.args]
     decisive = isinstance(formula, FOr)  # the value that ends an or (and)
 
     def holds(rows: List[List[int]], b: Rat) -> bool:
@@ -331,22 +348,6 @@ def _truth(formula: Formula, row_of) -> Callable[[List[List[int]], Rat], bool]:
         return not decisive
 
     return holds
-
-
-def _atoms(formula: Formula) -> Iterator[Atom]:
-    """Every atom occurrence in the formula, left to right, lazily.
-
-    FormatError on reaching a node that is no Atom, FAnd, FOr or FNot.
-    """
-    if isinstance(formula, Atom):
-        yield formula
-    elif isinstance(formula, FNot):
-        yield from _atoms(formula.arg)
-    elif isinstance(formula, (FAnd, FOr)):
-        for f in formula.args:
-            yield from _atoms(f)
-    else:
-        raise FormatError(f"not a formula node: {formula!r}")
 
 
 def _compile(formula: Formula, dim: int):
@@ -359,8 +360,10 @@ def _compile(formula: Formula, dim: int):
     monomial coef * prod_x x^e adds coef * prod_x num(x)^e * den(x)^(top(x) - e)
     to c at b's exponent.  Scaling by D keeps every sign and every root in b.
     holds(rows, b), for rows = coefficients(a, m, n), is the formula's truth at b.
+    FormatError, from _truth, on a malformed formula.
     """
-    atoms = list(_atoms(formula))
+    atoms: List[Atom] = []
+    holds = _truth(formula, dim, atoms)
     others = [i for i in range(dim + 3) if i != dim]
     top = [max((e[i] for at in atoms for _, e in at.poly), default=0) for i in others]
     deg = max([1, *(e[dim] for at in atoms for _, e in at.poly)])
@@ -383,23 +386,7 @@ def _compile(formula: Formula, dim: int):
             rows.append(c)
         return rows
 
-    return coefficients, _truth(formula, {id(at): i for i, at in enumerate(atoms)})
-
-
-def _validate_formula(formula: Formula, nvars: int):
-    for at in _atoms(formula):
-        if at.op not in (">", ">="):
-            raise FormatError(f"unknown comparison {at.op!r}")
-        for coef, exps in at.poly:
-            if isinstance(coef, bool) or not isinstance(coef, int):
-                raise FormatError("polynomial coefficients must be integers")
-            if len(exps) != nvars + 3:
-                raise FormatError(
-                    f"exponent vector of length {len(exps)}, expected {nvars + 3}"
-                )
-            for e in exps:
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    raise FormatError("exponents must be natural numbers")
+    return coefficients, holds
 
 
 def formula_to_json(formula: Formula, nvars: int) -> dict:
@@ -476,7 +463,7 @@ def formula_from_json(doc) -> Tuple[Formula, int]:
         raise FormatError(f"unknown formula node {key!r}")
 
     formula = tree(doc["formula"])
-    _validate_formula(formula, nvars)
+    _compile(formula, nvars)  # FormatError on a malformed atom
     return formula, nvars
 
 
@@ -644,7 +631,6 @@ def semialgebraic_system(
     certifies the witness through decide.  `modulus` is passed on to
     DecidableSystem: the formula's author may state one.
     """
-    _validate_formula(formula, dim)
     coefficients, holds = _compile(formula, dim)
 
     def decide(q: Quadruple) -> bool:

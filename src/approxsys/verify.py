@@ -32,7 +32,7 @@ from itertools import chain, islice, product
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple
-from .errors import DimensionError, DomainError, at_least
+from .errors import DomainError, at_least, same_dim
 from .numerics import Point, Rat, as_point, rat_div
 
 
@@ -99,11 +99,6 @@ class Verdict:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def _same_dim(left: str, left_dim: int, right: str, right_dim: int):
-    if left_dim != right_dim:
-        raise DimensionError(f"{left} has dimension {left_dim}, {right} has dimension {right_dim}")
 
 
 # --- reference oracles ----------------------------------------------------------
@@ -313,7 +308,7 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     counterexample also shows up.  A ball the oracle's enclosure proves (see
     the module docstring) counts its samples without evaluating them.
     """
-    _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
+    same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
     quads = system.members_prefix(quad_samples, scan_cap)
     samples = proved = straddles = refined = 0
@@ -368,8 +363,8 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     Inconclusive, never a refutation.
     """
     xi = as_point(xi)
-    _same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
-    _same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
+    same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
+    same_dim("point xi", len(xi), f"system {system.name}", system.dim_in)
     at_least(0, n=n, m_cap=m_cap, budget=budget)
     at_least(1, a_samples=a_samples)
     quarter = Fraction(1, 4 * (n + 1))
@@ -404,7 +399,7 @@ def brute_force_condition1_check(a: Point, m: int, b: Rat, n: int,
     """
     if not oracle.exact:
         raise DomainError("brute_force_condition1_check needs an exact oracle")
-    _same_dim("point a", len(a), f"oracle {oracle.name}", oracle.dim)
+    same_dim("point a", len(a), f"oracle {oracle.name}", oracle.dim)
     at_least(0, m=m, n=n)
     at_least(1, grid=grid)
     r = Fraction(1, m + 1)
@@ -429,7 +424,7 @@ def verify_containment(sub: ApproxSystem, sup: ApproxSystem, count: int = 1000,
     when `sup` is merely enumerable, absence within the budget is only
     Inconclusive.
     """
-    _same_dim(f"system {sub.name}", sub.dim_in, f"system {sup.name}", sup.dim_in)
+    same_dim(f"system {sub.name}", sub.dim_in, f"system {sup.name}", sup.dim_in)
     at_least(0, budget=budget)
     at_least(1, count=count)
     quads = sub.members_prefix(count, scan_cap)

@@ -199,7 +199,7 @@ def test_eval_compose_innermost_system_of_any_dimension(capsys):
         "--prec-index", "4",
     )
     assert code == 1 and out == ""
-    assert err == "error: division: name of dimension 1, system expects 2\n"
+    assert err == "error: name has dimension 1, system division has dimension 2\n"
 
 
 @pytest.mark.parametrize("system,point", [
@@ -398,11 +398,12 @@ def test_verify_cond2_xi_dimension(capsys, monkeypatch):
         raise AssertionError("condition 1 audited before --cond2-xi was checked")
 
     monkeypatch.setattr(cli, "verify_condition1", audit_must_not_run)
-    code, _, err = run(
+    code, out, err = run(
         capsys, "verify", "--system", "division", "--quads", "10",
         "--cond2-xi", "1",
     )
-    assert code == 1 and err.startswith("error:")
+    assert (code, out) == (1, "")
+    assert err == "error: --cond2-xi has dimension 1, system division has dimension 2\n"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -75,8 +75,12 @@ def test_cosine_witness_path_frozen():
 
 
 def test_apply_checks_dimension():
-    with pytest.raises(DimensionError):
-        apply(division_system(), name_of_point((F(1),)), 0, 100)
+    reads = []
+    f = OrdinaryName(lambda i: reads.append(i) or (F(1),), dim=1)
+    with pytest.raises(DimensionError,
+                       match="^name has dimension 1, system division has dimension 2$"):
+        apply(division_system(), f, 0, 100)
+    assert reads == []
 
 
 class _NoReads(ApproxSystem):

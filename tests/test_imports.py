@@ -10,7 +10,8 @@ A private name (`_x`, not a dunder) bound at module level by a def, class
 or assignment must be read, as a name, an attribute or an import, in some
 module of the package, and so must a private attribute stored by an
 assignment such as `self._x = ...`.  No module-level def or class name is
-defined in two modules: one rule is stated once and imported.
+defined in two modules: one rule is stated once and imported.  Only
+`errors.py`, which states the dimension rules, constructs a DimensionError.
 """
 
 import ast
@@ -106,6 +107,16 @@ def names_defined_twice(sources):
     return sorted((name, modules) for name, modules in defined.items() if len(modules) > 1)
 
 
+def dimension_errors_outside_errors(sources):
+    """(module, line) for each call of DimensionError, by name or as an
+    attribute, in a module of `sources` other than errors.py."""
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  if module != "errors.py"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DimensionError")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -135,6 +146,31 @@ def test_package_defines_each_name_once():
     package = Path(approxsys.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert names_defined_twice(sources) == []
+
+
+def test_package_raises_dimension_errors_through_the_rules():
+    package = Path(approxsys.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert dimension_errors_outside_errors(sources) == []
+
+
+def test_dimension_error_outside_errors_is_reported():
+    sources = {
+        "errors.py": ("class DimensionError(Exception):\n"
+                      "    pass\n"
+                      "def same_dim(d, e):\n"
+                      "    if d != e:\n"
+                      "        raise DimensionError(d)\n"),
+        "a.py": ("from .errors import DimensionError, same_dim\n"
+                 "def check(p):\n"
+                 "    same_dim(len(p), 2)\n"
+                 "    if not p:\n"
+                 "        raise DimensionError('empty')\n"
+                 "    except_these = (DimensionError, ValueError)\n"),
+        "b.py": ("from . import errors\n"
+                 "errors.DimensionError('x')\n"),
+    }
+    assert dimension_errors_outside_errors(sources) == [("a.py", 5), ("b.py", 2)]
 
 
 def test_name_defined_twice_is_reported():

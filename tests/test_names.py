@@ -199,7 +199,8 @@ def test_memoization_thread_safe():
 
 def test_wrong_dimension_detected():
     f = OrdinaryName(lambda i: (F(0), F(0)), dim=1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="^point at index 0 has dimension 2, name has dimension 1$"):
         f.approx(0)
 
 

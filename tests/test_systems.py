@@ -16,7 +16,6 @@ from approxsys.systems import (
     FNot,
     FOr,
     _Root,
-    _atoms,
     _dyadic_between,
     _isolated_roots,
     _linear_roots,
@@ -910,11 +909,19 @@ LINEAR_ATOMS = st.builds(
 LINEAR_FORMULAS = formulas_of(LINEAR_ATOMS)
 
 
+def atoms_of(formula):
+    """The formula's atoms, left to right."""
+    if isinstance(formula, Atom):
+        return [formula]
+    return [at for f in ([formula.arg] if isinstance(formula, FNot) else formula.args)
+            for at in atoms_of(f)]
+
+
 def linear_roots(formula, a, m, n):
     """The distinct roots -c0/c1 of the formula's atoms, linear in b at (a, m, n)."""
     u, v = F(1, m + 1), F(1, n + 1)
     roots = set()
-    for node in _atoms(formula):
+    for node in atoms_of(formula):
         c0 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 0), (a, F(0), u, v))
         c1 = eval_poly(tuple((c, e) for c, e in node.poly if e[1] == 1), (a, F(1), u, v))
         if c1:
@@ -992,9 +999,10 @@ def test_decide_and_witness_reject_points_of_other_dimension(ctor):
     system = ctor()
     for dim in (system.dim_in - 1, system.dim_in + 1):
         a = (F(1),) * dim
-        with pytest.raises(DimensionError):
+        message = f"^point has dimension {dim}, system {system.name} has dimension {system.dim_in}$"
+        with pytest.raises(DimensionError, match=message):
             system.decide(Quadruple(a, 0, F(1), 0))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=message):
             system.witness(a, 0, 0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=message):
             system.membership(Quadruple(a, 0, F(1), 0), 1)

@@ -704,20 +704,24 @@ def test_condition1_rejects_oracle_of_other_dimension(system, oracle):
 
 def test_condition1_dimension_checked_before_any_scan():
     counting, calls = _counting_system(2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="^system counting-2 has dimension 2, oracle square has dimension 1$"):
         verify_condition1(counting, squaring_oracle(), quad_samples=20)
     assert calls == []
 
 
 def test_condition2_rejects_mismatched_dimensions():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="^system division has dimension 2, oracle square has dimension 1$"):
         verify_condition2(division_system(), squaring_oracle(), (F(1), F(3)), 4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="^point xi has dimension 1, system division has dimension 2$"):
         verify_condition2(division_system(), division_oracle(), (F(1),), 4)
 
 
 def test_brute_force_rejects_point_of_other_dimension():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="^point a has dimension 1, oracle division has dimension 2$"):
         brute_force_condition1_check((F(1),), 9, F(1, 3), 2, division_oracle())
 
 
@@ -737,7 +741,8 @@ def test_containment_rejects_systems_of_other_dimension(sub, sup):
 
 def test_containment_dimension_checked_before_any_scan():
     counting, calls = _counting_system(1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError,
+                       match="^system counting-1 has dimension 1, system division has dimension 2$"):
         verify_containment(counting, division_system(), count=20)
     assert calls == []
 
