@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import count
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .core import ApproxSystem, Membership, Quadruple, decode_quadruple
 from .errors import SearchTimeout, at_least, positive_dim, same_dim
@@ -234,6 +235,9 @@ class _OperatorSystem(ApproxSystem):
     halves add to 1/(k+1)), so when T is the evaluator of a sound system the
     accepted quadruple is itself sound: |v - f(point)| < 1/(2n+2) and the
     triangle inequality lands b within 1/(n+1).
+
+    membership first tries the run the witness made (_attempts), so a
+    witness the evaluator confirms costs one operator run.
     """
 
     def __init__(self, operator: NameOperator, dim: int):
@@ -263,33 +267,44 @@ class _OperatorSystem(ApproxSystem):
         return tuple(x + Fraction(num % (2 * q - 1) - (q - 1), q * (2 * k + 2))
                      for x, num in zip(a, nums))
 
+    def _ramp(self, a: Point, m: int) -> Tuple[Point, ...]:
+        """The default fragment: candidate 0 at each slot k with 2k+1 <= m."""
+        return tuple(self._candidate(a, k, 0) for k in range((m + 1) // 2))
+
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
-        """T's value on the default ramp: candidate 0 at each slot k <= (m-1)/2."""
+        """T's value on the default ramp, run with m steps."""
         self._check_dim(a)
-        ramp = tuple(self._candidate(a, k, 0) for k in range((m + 1) // 2))
-        res = self._T.run(ramp, 2 * n + 1, m) if ramp else None
+        res = self._T.run(self._ramp(a, m), 2 * n + 1, m)
         return res.v if isinstance(res, Value) else None
+
+    def _attempts(self, a: Point, m: int, budget: int) -> Iterator[Tuple[Point, ...]]:
+        """The fragments membership tries within `budget` attempts, in order.
+
+        Attempt 0 is the default ramp: a Value on any prefix of it persists
+        on all of it.  Attempt u >= 1 is the shifted fragment of slots 0..l
+        with candidates decode_tuple(code, l + 1), for (l, code) =
+        cantor_split(u - 1), skipped when 2l+1 > m.  Cantor diagonal
+        t = l + code holds the attempts u = 1 + t(t+1)/2 + code for
+        code = 0..t, with 2l+1 <= m from code = t - (m-1)//2 on, so the walk
+        enters each diagonal there and a skipped attempt costs nothing.
+        """
+        if budget:
+            yield self._ramp(a, m)
+        # shifted fragments repeat few (slot, candidate) pairs: compute each once
+        candidate = lru_cache(maxsize=None)(partial(self._candidate, a))
+        t = 0
+        while (first := 1 + t * (t + 1) // 2) < budget:
+            for code in range(max(0, t - (m - 1) // 2), min(t + 1, budget - first)):
+                l = t - code
+                yield tuple(map(candidate, range(l + 1), decode_tuple(code, l + 1)))
+            t += 1
 
     def membership(self, quad: Quadruple, budget: int) -> Membership:
         self._check_dim(quad.a)
-        a, m, b, n = quad.a, quad.m, quad.b, quad.n
-        top = (m - 1) // 2  # largest fragment end l with 2l+1 <= m
-        if top < 0:
-            return Membership.NOT_YET
-        out_idx = 2 * n + 1
+        a, m, b, n = quad
         tol = Fraction(1, 2 * n + 2)
-        ramp: List[Point] = []  # shared prefix of the all-defaults attempts
-        for u in range(budget):
-            if u <= top:
-                ramp.append(self._candidate(a, u, 0))
-                fragment = tuple(ramp)
-            else:
-                l, shift_code = cantor_split(u - top - 1)
-                if l > top:
-                    continue
-                shifts = decode_tuple(shift_code, l + 1)
-                fragment = tuple(self._candidate(a, k, c) for k, c in enumerate(shifts))
-            res = self._T.run(fragment, out_idx, budget)
+        for fragment in self._attempts(a, m, budget):
+            res = self._T.run(fragment, 2 * n + 1, budget)
             if isinstance(res, Value) and abs(res.v - b) < tol:
                 return Membership.YES
         return Membership.NOT_YET

@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -542,6 +545,24 @@ def test_consecutive_calls_share_no_options(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "enumerate", "--help")[0] == 0
     assert run(capsys, *enum) == (0, plain, "")
+
+
+@pytest.mark.parametrize("argv, code, out_line, err_line", [
+    (["--point", "1,3"], 0, "value = 1/3", ""),
+    (["--point", "1,0", "--budget", "3"], 2, "", "timeout: search budget of 3 steps exhausted"),
+    (["--point", "1,x"], 1, "", "error: not a rational literal: 'x'"),
+], ids=["value", "timeout", "bad-point"])
+def test_module_entry_point_exit_codes(argv, code, out_line, err_line):
+    """python -m approxsys.cli runs main_entry, which exits with main's code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "APPROXSYS_DEFAULT_BUDGET"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, "-m", "approxsys.cli", "eval", "--system", "division",
+                           "--prec-index", "9", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    assert (done.stdout.splitlines() or [""])[0] == out_line
+    assert done.stderr.splitlines() == ([err_line] if err_line else [])
 
 
 # --- README transcript ------------------------------------------------------------
