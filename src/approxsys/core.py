@@ -10,12 +10,13 @@ target value".  Two semantic conditions make S useful:
 
 This module fixes the computational interface only: systems expose a total
 `enumerate` (k-th candidate or None) and a budgeted semi-decision
-`membership`.  Decidable systems also expose `decide` and optionally two
-hints for the evaluator's fast path: a `witness` b for (a, m, n), and a
-`modulus`, the input index m at which that witness certifies at a.  They
-may also state a `screen` for their prefix scan: two keys, one of the
-point and one of the tail (m, b, n), that are equal whenever decide
-accepts, so the scan decides only the codes whose keys match.
+`membership`.  Three hints follow one rule, None or a function: `decide`,
+an exact membership test; `witness`, a b for (a, m, n) for the
+evaluator's fast path; and `modulus`, the input index m at which that
+witness certifies at a.  Decidable systems may also state a `screen` for
+their prefix scan: two keys, one of the point and one of the tail
+(m, b, n), that are equal whenever decide accepts, so the scan decides
+only the codes whose keys match.
 """
 
 from __future__ import annotations
@@ -104,28 +105,31 @@ _DEFAULT_CAP_PER_MEMBER = 500
 _DEFAULT_CAP_FLOOR = 100_000
 
 
-# modulus(a, n): a system's input index for output index n at the point a
-# (see ApproxSystem)
+# witness(a, m, n): a candidate b; modulus(a, n): a system's input index for
+# output index n at the point a (see ApproxSystem)
+Witness = Callable[[Point, int, int], Optional[Rat]]
 Modulus = Callable[[Optional[Point], int], Optional[int]]
 
 
 class ApproxSystem:
     """Base interface; see module docstring for the semantics.
 
-    Subclasses set `dim_in` and implement `enumerate`.  `decide` stays None
-    for systems that are only enumerable; when set, membership is exact and
-    independent of budget.  `modulus` stays None for systems with no rule
-    for their input index; when set, modulus(a, n) is the least input index
-    m at which `witness` certifies at the point a (None: no rule there), and
-    modulus(None, n) the index to read first, before any point is known.
-    Like the witness it is a hint: the evaluator certifies through
-    membership whatever it names.
+    Subclasses set `dim_in` and implement `enumerate`.  Each hint is None
+    or a function, which a subclass that has one sets or defines.  `decide`
+    stays None for systems that are only enumerable; when set, membership
+    is exact and independent of budget.  witness(a, m, n) is a b likely to
+    make (a, m, b, n) a member, or None; `apply` tries it first.
+    modulus(a, n) is the least input index m at which `witness` certifies
+    at the point a (None: no rule there), and modulus(None, n) the index
+    to read first, before any point is known.  witness and modulus are
+    never trusted: the evaluator certifies through membership whatever
+    they name.
     """
 
     dim_in: int
     name: str = "system"
     decide: Optional[Callable[[Quadruple], bool]] = None
-    provides_witness: bool = False
+    witness: Optional[Witness] = None
     modulus: Optional[Modulus] = None
 
     def __init__(self):
@@ -160,14 +164,6 @@ class ApproxSystem:
             if self.enumerate(k) == quad:
                 return Membership.YES
         return Membership.NOT_YET
-
-    def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
-        """Optional hint: a b likely to make (a, m, b, n) a member.
-
-        Never trusted: callers must confirm through membership.  Systems that
-        can produce hints set provides_witness.
-        """
-        return None
 
     def _walk(self, start: int, stop: int) -> Iterator[Tuple[int, Quadruple]]:
         """(code, member) for the members among codes start..stop-1, in code order.
@@ -218,10 +214,10 @@ class DecidableSystem(ApproxSystem):
     enumerate(k) decodes k to a quadruple and keeps it iff decide accepts;
     dovetailing over all of N therefore lists exactly the members.  decide,
     witness and membership raise DimensionError on a point of another
-    dimension.  membership checks it once and the prefix scan, which
-    decodes only points of dimension dim_in, not at all: both then call the
-    bare predicate (see _predicate).  modulus, a hint for the evaluator's
-    read index (see ApproxSystem), is stored as given.
+    dimension; the prefix scan, which decodes only points of dimension
+    dim_in, calls the bare predicate instead (see _walk).  witness is the
+    method below when one is given and None otherwise; modulus, a hint for
+    the evaluator's read index (see ApproxSystem), is stored as given.
 
     screen, when given, is a pair (point_key, tail_key) with the contract
     that decide(q) implies point_key(q.a) == tail_key(q.m, q.b, q.n).  The
@@ -236,7 +232,7 @@ class DecidableSystem(ApproxSystem):
         decide: Callable[[Quadruple], bool],
         dim: int,
         *,
-        witness: Optional[Callable[[Point, int, int], Optional[Rat]]] = None,
+        witness: Optional[Witness] = None,
         name: str = "system",
         modulus: Optional[Modulus] = None,
         screen: Optional[Tuple[Callable[[Point], object],
@@ -256,18 +252,8 @@ class DecidableSystem(ApproxSystem):
         self.decide = self._checked = checked
         self._bare = decide
         self._witness = witness
-        self.provides_witness = witness is not None
-
-    def _predicate(self) -> Callable[[Quadruple], bool]:
-        """decide, for a quadruple whose point is known to have dimension dim_in.
-
-        The bare predicate while `decide` is still the dimension-checking
-        wrapper built above, so a caller that has checked the dimension
-        does not pay for a second check.  A `decide` replaced on the
-        instance (a tracer, say) is returned itself and sees every call.
-        """
-        decide = self.decide
-        return self._bare if decide is self._checked else decide
+        if witness is None:
+            self.witness = None
 
     def enumerate(self, k: int) -> Optional[Quadruple]:
         q = decode_quadruple(k, self.dim_in)
@@ -275,8 +261,7 @@ class DecidableSystem(ApproxSystem):
 
     def membership(self, quad: Quadruple, budget: int) -> Membership:
         """decide's verdict, YES or NOT_YET, whatever the budget."""
-        self._check_dim(quad.a)
-        return Membership.YES if self._predicate()(quad) else Membership.NOT_YET
+        return Membership.YES if self.decide(quad) else Membership.NOT_YET
 
     def _walk(self, start: int, stop: int) -> Iterator[Tuple[int, Quadruple]]:
         """ApproxSystem._walk's pairs, one Cantor diagonal at a time.
@@ -287,7 +272,8 @@ class DecidableSystem(ApproxSystem):
         quadruples of a diagonal's codes below stop are built from their
         entries in one pass, as one list `quads`.  compress keeps the members
         by map(decide, quads): decide is looked up once, here, as the bare
-        predicate (every point decoded has dimension dim_in), and called once
+        predicate (every point decoded has dimension dim_in) unless the
+        instance's `decide` was replaced (a tracer, say), and called once
         per quadruple built, in code order, and never past the member the
         caller stops at.  With a screen, each point's and each tail's key is
         computed when it is decoded, and a diagonal builds quadruples only
@@ -295,7 +281,8 @@ class DecidableSystem(ApproxSystem):
         diagonal); decide never accepts the others.  No other per-code work
         runs in Python.
         """
-        decide, dim, screen = self._predicate(), self.dim_in, self.screen
+        decide = self._bare if self.decide is self._checked else self.decide
+        dim, screen = self.dim_in, self.screen
         make = partial(tuple.__new__, Quadruple)
         i, r = cantor_split(start)
         t = i + r
@@ -331,6 +318,4 @@ class DecidableSystem(ApproxSystem):
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         self._check_dim(a)
-        if self._witness is None:
-            return None
         return self._witness(a, m, n)

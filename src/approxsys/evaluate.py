@@ -24,10 +24,12 @@ no further trust in the search order, which has two phases:
            for every formula system, the operator's own value for an
            extracted system).  When that fails, a ladder reads the rungs
            l = (n+1)*2^t - 1 above the last index read, up to t = 12;
-  phase B  a plain dovetailed sweep of (l, j, s) codes at full precision,
-           which guarantees completeness: if any certifiable answer exists,
-           enough budget eventually finds it.  A system without a witness
-           gets only this phase.
+  phase B  a plain dovetailed sweep at full precision, which guarantees
+           completeness: if any certifiable answer exists, enough budget
+           eventually finds it.  It reads (l, j) = cantor_split(g) for a
+           system with decide, whose membership ignores the budget s, and
+           (l, j, s) = decode_tuple(g, 3) for any other.  A system whose
+           witness is None gets only this phase.
 
 Each membership probe costs one budget step, uniformly across phases, which
 makes results deterministic and monotone in the budget.
@@ -78,7 +80,7 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
     used = 0
 
     # phase A: the witness at the index the modulus names, then a ladder
-    if system.provides_witness:
+    if system.witness is not None:
         modulus = system.modulus
         if modulus is None:
             l, asks = n, 0
@@ -105,8 +107,9 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
             l = ((n + 1) << t) - 1
 
     # phase B: exhaustive dovetailing at the requested precision
+    decidable = system.decide is not None  # then membership ignores s
     for g in count():
-        l, j, s = decode_tuple(g, 3)
+        l, j, s = (*cantor_split(g), 0) if decidable else decode_tuple(g, 3)
         quad = Quadruple(f.approx(l), l, decode_rat(j), n)
         if used == budget:
             raise SearchTimeout(budget)
@@ -115,14 +118,11 @@ def apply(system: ApproxSystem, f: OrdinaryName, n: int, budget: int) -> EvalRes
             return EvalResult(quad.b, n, used)
 
 
-# The default budget doubles with n up to n = 64: no search spends 10^4 * 2^64
-# probes, and an uncapped 2^n is an n-bit integer built before the first one.
-_BUDGET_DOUBLINGS = 64
-
-
 def make_budget_schedule(base: int) -> Callable[[int], int]:
+    """base * (n + 1).bit_length() probes at precision index n."""
+
     def schedule(n: int) -> int:
-        return base * (1 << min(n, _BUDGET_DOUBLINGS))
+        return base * (n + 1).bit_length()
 
     return schedule
 
@@ -245,7 +245,6 @@ class _OperatorSystem(ApproxSystem):
         self._T = operator
         self.dim_in = positive_dim(dim)
         self.name = "operator-system"
-        self.provides_witness = True
 
     def _candidate(self, a: Point, k: int, c: int) -> Point:
         """Candidate c for slot k: a point strictly inside the 1/(2k+2) ball at a.

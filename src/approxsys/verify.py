@@ -357,10 +357,10 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     restricted to the oracle domain: productivity quantifies over all nearby
     rational points), keyed by (seed, xi, m), and hunts a b with
     (a, m, b, n) in the system among three candidates: the system's own
-    witness hint and the oracle's value at a and at xi (asked once), each
-    confirmed by membership within `budget`.  No enumeration is scanned.
-    Pass records the first m that served all samples; exhaustion is
-    Inconclusive, never a refutation.
+    witness, when it has one, and the oracle's value at a and at xi (asked
+    once), each confirmed by membership within `budget`.  No enumeration is
+    scanned.  Pass records the first m that served all samples; exhaustion
+    is Inconclusive, never a refutation.
     """
     xi = as_point(xi)
     same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
@@ -369,11 +369,11 @@ def verify_condition2(system: ApproxSystem, oracle: RefOracle, xi: Point, n: int
     at_least(1, a_samples=a_samples)
     quarter = Fraction(1, 4 * (n + 1))
     at_xi = [oracle.eval(xi, quarter)] if oracle.domain_test(xi) else []
-    samples = 0
+    witness, samples = system.witness, 0
     for m in range(m_cap + 1):
         for a in _sample_ball(xi, m, a_samples, f"{seed};{_text(xi)};{m}", None):
             samples += 1
-            w = system.witness(a, m, n)
+            w = None if witness is None else witness(a, m, n)
             candidates = [] if w is None else [w]
             if a is not xi and oracle.domain_test(a):  # the center a = xi is in at_xi
                 candidates.append(oracle.eval(a, quarter))

@@ -100,6 +100,15 @@ def test_eval_timeout_exit_code(capsys):
     assert out == "" and err.startswith("timeout:")
 
 
+def test_default_budget_at_index_20(capsys):
+    # 10^4 * (20 + 1).bit_length() probes, spent in well under a second
+    code, out, err = run(
+        capsys, "eval", "--system", "division", "--point", "1,0", "--prec-index", "20",
+    )
+    assert code == 2 and out == ""
+    assert err == "timeout: search budget of 50000 steps exhausted\n"
+
+
 def test_eval_usage_errors(capsys):
     bad = [
         ("eval", "--system", "division", "--point", "1,3"),

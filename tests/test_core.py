@@ -168,15 +168,16 @@ def test_full_system_enumerates_every_code():
 
 
 def test_decidable_system_witness_plumbing():
-    bare = DecidableSystem(lambda q: True, 1)
-    assert not bare.provides_witness
-    assert bare.witness((F(0),), 3, 3) is None
+    # witness is None or a function, as decide and modulus are
+    assert ApproxSystem.witness is None
+    assert DecidableSystem(lambda q: True, 1).witness is None
 
     with_hint = DecidableSystem(
         lambda q: True, 1, witness=lambda a, m, n: F(7)
     )
-    assert with_hint.provides_witness
     assert with_hint.witness((F(0),), 3, 3) == F(7)
+    assert "witness" not in vars(with_hint)  # the class-level method
+    assert callable(division_system().witness)
 
 
 @pytest.mark.parametrize("ctor", [

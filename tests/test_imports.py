@@ -148,6 +148,13 @@ def test_package_defines_each_name_once():
     assert names_defined_twice(sources) == []
 
 
+def test_tests_define_each_name_once():
+    # a test defined in two files runs twice under two ids
+    tests = Path(__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(tests.glob("*.py"))}
+    assert names_defined_twice(sources) == []
+
+
 def test_package_raises_dimension_errors_through_the_rules():
     package = Path(approxsys.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}

@@ -674,7 +674,7 @@ def test_generic_membership_answers_from_decide_at_any_budget():
 
 def test_condition2_on_an_enumerable_only_system_has_no_witness():
     system = EnumerableDivision()
-    assert system.witness((F(1), F(3)), 0, 4) is None
+    assert system.witness is None
     v = verify_condition2(system, division_oracle(), (F(1), F(3)), 4,
                           m_cap=2, a_samples=1, budget=50)
     assert v.outcome is Outcome.INCONCLUSIVE
