@@ -1,7 +1,11 @@
 """Command-line front end: eval, enumerate, verify.
 
-Exit codes: 0 success (or verified Pass), 1 usage or parse problems,
-2 budget exhausted, 3 counterexample found, 4 inconclusive verdict.
+A thin shell over the library: `eval --system` and `eval --compose` run
+one `apply`, and a usage error is the package's FormatError.
+
+Exit codes: 0 success (or verified Pass), 1 any package error but a
+timeout (usage, parse, dimension, domain), 2 budget exhausted,
+3 counterexample found, 4 inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .core import ApproxSystem
-from .errors import DimensionError, DomainError, FormatError, SearchTimeout, at_least, same_dim
+from .errors import ApproxSysError, FormatError, SearchTimeout, at_least, same_dim
 from .evaluate import apply, default_budget_schedule, eval_name, make_budget_schedule
 from .names import name_of_point
-from .numerics import Point, Rat, as_rat, decimal_str
+from .numerics import as_point, as_rat, decimal_str
 from .systems import (
     cosine_system,
     division_system,
@@ -54,24 +58,13 @@ _EXIT_COUNTER_EXAMPLE = 3
 _EXIT_INCONCLUSIVE = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _parse_point(text: str) -> Point:
-    try:
-        return tuple(as_rat(part) for part in text.split(","))
-    except FormatError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _resolve_system(spec: str) -> ApproxSystem:
     if spec in _BUILTINS:
         return _BUILTINS[spec][0]()
     if spec.endswith(".json") or os.path.exists(spec):
         formula, nvars = load_formula(spec)
         return semialgebraic_system(formula, nvars, name=os.path.basename(spec))
-    raise _UsageError(
+    raise FormatError(
         f"unknown system {spec!r}: expected one of "
         f"{sorted(_BUILTINS)} or a formula file path"
     )
@@ -79,15 +72,15 @@ def _resolve_system(spec: str) -> ApproxSystem:
 
 def _precision_index(args) -> int:
     if args.eps is not None and args.prec_index is not None:
-        raise _UsageError("--prec-index and --eps are mutually exclusive")
+        raise FormatError("--prec-index and --eps are mutually exclusive")
     if args.eps is not None:
         eps = as_rat(args.eps)
         if eps <= 0:
-            raise _UsageError("--eps must be positive")
+            raise FormatError("--eps must be positive")
         # least n with 1/(n+1) <= eps
         return max(0, math.ceil(Fraction(1) / eps) - 1)
     if args.prec_index is None:
-        raise _UsageError("one of --prec-index or --eps is required")
+        raise FormatError("one of --prec-index or --eps is required")
     return args.prec_index
 
 
@@ -99,7 +92,7 @@ def _budget_schedule(args):
         try:
             base = int(base_text)
         except ValueError as exc:
-            raise _UsageError(
+            raise FormatError(
                 f"APPROXSYS_DEFAULT_BUDGET must be an integer, got {base_text!r}"
             ) from exc
         at_least(1, APPROXSYS_DEFAULT_BUDGET=base)
@@ -107,7 +100,25 @@ def _budget_schedule(args):
     return default_budget_schedule
 
 
-def _print_eval(value: Rat, n: int, steps: Optional[int], args):
+def _cmd_eval(args) -> int:
+    at_least(0, **{"--digits": args.digits, "--prec-index": args.prec_index,
+                   "--budget": args.budget})
+    n = _precision_index(args)
+    schedule = _budget_schedule(args)
+    if (args.system is None) == (args.compose is None):
+        raise FormatError("eval needs exactly one of --system or --compose")
+    if args.point is None:
+        raise FormatError("--point is required")
+    point = as_point(args.point.split(","))
+    specs = [args.system] if args.compose is None else [s.strip() for s in args.compose.split(",")]
+    outer, *inner = map(_resolve_system, specs)
+    # the innermost system reads the point; each other one, the next one's output
+    f = name_of_point(point)
+    for system in reversed(inner):
+        f = eval_name(system, f, schedule)
+    result = apply(outer, f, n, schedule(n))
+    value = result.value
+    steps = result.search_steps if args.compose is None else None
     digits = args.digits if args.digits is not None else len(str(n + 1)) + 2
     if args.output == "json":
         doc = {
@@ -123,37 +134,12 @@ def _print_eval(value: Rat, n: int, steps: Optional[int], args):
         print(f"precision_index = {n}")
         if steps is not None:
             print(f"search_steps = {steps}")
-
-
-def _cmd_eval(args) -> int:
-    at_least(0, **{"--digits": args.digits, "--prec-index": args.prec_index,
-                   "--budget": args.budget})
-    n = _precision_index(args)
-    schedule = _budget_schedule(args)
-    if (args.system is None) == (args.compose is None):
-        raise _UsageError("eval needs exactly one of --system or --compose")
-    if args.point is None:
-        raise _UsageError("--point is required")
-    point = _parse_point(args.point)
-
-    if args.compose is not None:
-        chain = [_resolve_system(nm.strip()) for nm in args.compose.split(",")]
-        f = name_of_point(point)
-        for system in reversed(chain):
-            f = eval_name(system, f, schedule)
-        value = f.approx(n)[0]
-        _print_eval(value, n, None, args)
-        return _EXIT_OK
-
-    system = _resolve_system(args.system)
-    result = apply(system, name_of_point(point), n, schedule(n))
-    _print_eval(result.value, result.precision_index, result.search_steps, args)
     return _EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
     if args.system is None:
-        raise _UsageError("--system is required")
+        raise FormatError("--system is required")
     at_least(0, **{"--count": args.count, "--scan-cap": args.scan_cap})
     system = _resolve_system(args.system)
     members = system.members_prefix(args.count, args.scan_cap)
@@ -183,18 +169,18 @@ def _verdict_lines(label: str, verdict: Verdict) -> List[str]:
 
 def _cmd_verify(args) -> int:
     if args.system is None:
-        raise _UsageError("--system is required")
+        raise FormatError("--system is required")
     at_least(1, **{"--quads": args.quads, "--xi-per-quad": args.xi_per_quad})
     at_least(0, **{"--scan-cap": args.scan_cap, "--cond2-n": args.cond2_n})
     system = _resolve_system(args.system)
     builtin = _BUILTINS.get(args.oracle or args.system)
     if builtin is None:
-        raise _UsageError(
+        raise FormatError(
             "formula systems need --oracle to say what they claim to compute"
         )
     oracle = builtin[1]()
     if args.cond2_xi is not None:
-        xi = _parse_point(args.cond2_xi)
+        xi = as_point(args.cond2_xi.split(","))
         same_dim("--cond2-xi", len(xi), f"system {system.name}", system.dim_in)
 
     verdicts = {}
@@ -307,7 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SearchTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return _EXIT_OUT_OF_BUDGET
-    except (_UsageError, FormatError, DimensionError, DomainError) as exc:
+    except ApproxSysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -14,7 +14,7 @@ class DimensionError(ApproxSysError):
 
 
 class FormatError(ApproxSysError):
-    """Malformed external input: rational literals, formula files, reports."""
+    """Malformed external input: rational literals, formula files, reports, command lines."""
 
 
 class SearchTimeout(ApproxSysError):

@@ -462,8 +462,11 @@ def formula_from_json(doc) -> Tuple[Formula, int]:
             return FNot(tree(val))
         raise FormatError(f"unknown formula node {key!r}")
 
-    formula = tree(doc["formula"])
-    _compile(formula, nvars)  # FormatError on a malformed atom
+    try:
+        formula = tree(doc["formula"])
+        _compile(formula, nvars)  # FormatError on a malformed atom
+    except RecursionError as exc:
+        raise FormatError("formula nests too deeply") from exc
     return formula, nvars
 
 
@@ -475,6 +478,10 @@ def load_formula(path) -> Tuple[Formula, int]:
         raise FormatError(f"cannot read formula file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"formula file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise FormatError(f"formula file {path} cannot be decoded: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"formula file {path} nests too deeply") from exc
     return formula_from_json(doc)
 
 

@@ -48,6 +48,20 @@ def rng():
     return random.Random(0)
 
 
+@pytest.fixture(params=["utf-16", "2000-deep"])
+def unreadable_formula_file(request, tmp_path):
+    """A formula file that holds no readable formula: UTF-16 text, which
+    starts with the bytes ff fe, or a chain of 2,000 "not" nodes, deeper
+    than Python's default recursion limit."""
+    path = tmp_path / f"{request.param}.json"
+    atom = '{"op": ">", "poly": [[1, [0, 0, 0, 0]]]}'
+    if request.param == "utf-16":
+        path.write_bytes(b"\xff\xfe" + f'{{"vars": 1, "formula": {atom}}}'.encode("utf-16-le"))
+    else:
+        path.write_text('{"vars": 1, "formula": ' + '{"not": ' * 2000 + atom + "}" * 2001)
+    return path
+
+
 def edge_cauchy_name(point):
     """A Cauchy name of `point` with every point exactly at its bound:
     h(k) = point + 2^-k in each coordinate."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from approxsys import cli
+from approxsys.errors import ApproxSysError, FormatError
 from approxsys.systems import (
     FAnd,
     atom,
@@ -181,6 +182,30 @@ def test_eval_compose(capsys):
     )
     assert code == 0
     assert "value = 3513/4096" in out  # sigma_k itself: 180 bits
+
+
+@pytest.mark.parametrize("system, point, value", [
+    ("division", "1,3", "1/3"), ("maximal-division", "1,3", "331/992"),
+    ("cosine", "1", "67/128"), ("square", "3/2", "35725/15876"),
+])
+def test_compose_of_one_system_prints_the_system_lines_but_search_steps(
+        capsys, system, point, value):
+    common = ("--point", point, "--prec-index", "20")
+    code, alone, err = run(capsys, "eval", "--system", system, *common)
+    assert (code, err) == (0, "") and alone.splitlines()[0] == f"value = {value}"
+    code, chained, err = run(capsys, "eval", "--compose", system, *common)
+    assert (code, err) == (0, "")
+    assert chained.splitlines() == [line for line in alone.splitlines()
+                                    if not line.startswith("search_steps = ")]
+
+
+def test_eval_compose_json_byte_stable(capsys):
+    argv = ("eval", "--compose", "cosine,cosine", "--point", "1", "--prec-index", "99")
+    expected = ('{"decimal": "0.85547", "precision_index": 99, "search_steps": null, '
+                '"value": "219/256"}\n')
+    assert run(capsys, *argv, "--output", "json") == (0, expected, "")
+    assert run(capsys, *argv, "--budget", "0") == (
+        2, "", "timeout: search budget of 0 steps exhausted\n")
 
 
 def test_eval_compose_usage_errors(capsys):
@@ -515,6 +540,14 @@ def test_malformed_formula_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_unreadable_formula_file_is_a_usage_error(capsys, unreadable_formula_file):
+    code, out, err = run(capsys, "eval", "--system", str(unreadable_formula_file),
+                         "--point", "1", "--prec-index", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: formula file {unreadable_formula_file} ")
+    assert err.count("\n") == 1
+
+
 # --- parser plumbing ----------------------------------------------------------------
 
 def test_argparse_exits(capsys):
@@ -524,6 +557,23 @@ def test_argparse_exits(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["eval", "--output", "yaml"]) == 1
     capsys.readouterr()
+
+
+def test_usage_errors_are_the_package_format_error():
+    args = cli._PARSER.parse_args(["eval", "--system", "division", "--prec-index", "1"])
+    with pytest.raises(FormatError, match="^--point is required$"):
+        cli._cmd_eval(args)
+
+
+def test_every_package_error_but_a_timeout_exits_1(capsys, monkeypatch):
+    class Planted(ApproxSysError):
+        pass
+
+    def fail(args):
+        raise Planted("planted")
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", fail)
+    assert run(capsys, "enumerate", "--system", "division") == (1, "", "error: planted\n")
 
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):

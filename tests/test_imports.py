@@ -11,7 +11,9 @@ or assignment must be read, as a name, an attribute or an import, in some
 module of the package, and so must a private attribute stored by an
 assignment such as `self._x = ...`.  No module-level def or class name is
 defined in two modules: one rule is stated once and imported.  Only
-`errors.py`, which states the dimension rules, constructs a DimensionError.
+`errors.py`, which states the dimension rules, constructs a DimensionError,
+and the package raises only the errors `errors.py` defines, but for a few
+named on purpose.
 """
 
 import ast
@@ -117,6 +119,28 @@ def dimension_errors_outside_errors(sources):
                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DimensionError")
 
 
+# raised by name on purpose: the abstract methods, a negative name index,
+# the cosine scan's unreachable end, and evaluate's private fragment miss
+FOREIGN_RAISES = {"NotImplementedError", "IndexError", "AssertionError", "_FragmentMiss"}
+
+
+def foreign_raises(sources):
+    """(module, line, name) for each `raise X`, `raise X(...)` or
+    `raise mod.X(...)` in `sources` whose X is neither a class errors.py
+    defines nor in FOREIGN_RAISES.  A bare re-raise names nothing and passes."""
+    own = {node.name for node in ast.parse(sources["errors.py"]).body
+           if isinstance(node, ast.ClassDef)}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name not in own | FOREIGN_RAISES:
+                    found.append((module, node.lineno, name))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -178,6 +202,35 @@ def test_dimension_error_outside_errors_is_reported():
                  "errors.DimensionError('x')\n"),
     }
     assert dimension_errors_outside_errors(sources) == [("a.py", 5), ("b.py", 2)]
+
+
+def test_package_raises_only_its_own_errors():
+    package = Path(approxsys.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert foreign_raises(sources) == []
+
+
+def test_foreign_raise_is_reported():
+    sources = {
+        "errors.py": ("class ApproxSysError(Exception):\n"
+                      "    pass\n"
+                      "class FormatError(ApproxSysError):\n"
+                      "    pass\n"),
+        "a.py": ("from . import errors\n"
+                 "from .errors import FormatError\n"
+                 "class _Usage(Exception):\n"
+                 "    pass\n"
+                 "def f(x):\n"
+                 "    try:\n"
+                 "        raise FormatError(x)\n"
+                 "    except FormatError:\n"
+                 "        raise\n"
+                 "    raise errors.ApproxSysError(x) from None\n"
+                 "    raise _Usage(x)\n"
+                 "    raise ValueError\n"
+                 "    raise NotImplementedError\n"),
+    }
+    assert foreign_raises(sources) == [("a.py", 11, "_Usage"), ("a.py", 12, "ValueError")]
 
 
 def test_name_defined_twice_is_reported():

@@ -640,6 +640,23 @@ def test_load_formula_from_file(tmp_path):
         load_formula(broken)
 
 
+def test_load_formula_refuses_an_unreadable_file(unreadable_formula_file):
+    with pytest.raises(FormatError, match=f"^formula file {unreadable_formula_file} "
+                                          "(cannot be decoded: 'utf-8' codec|nests too deeply$)"):
+        load_formula(unreadable_formula_file)
+
+
+def test_formula_from_json_refuses_a_formula_too_deep_for_the_stack():
+    node = {"op": ">", "poly": [[1, [0, 0, 0, 0]]]}
+    for _ in range(200):
+        node = {"not": node}
+    assert formula_from_json({"vars": 1, "formula": node})[1] == 1
+    for _ in range(1800):
+        node = {"not": node}
+    with pytest.raises(FormatError, match="^formula nests too deeply$"):
+        formula_from_json({"vars": 1, "formula": node})
+
+
 def test_semialgebraic_dimension_mismatch():
     formula, _ = squaring_formula()
     with pytest.raises(FormatError):
