@@ -219,10 +219,15 @@ def operator_from_system(system: ApproxSystem) -> NameOperator:
 
 # --- systems from operators -----------------------------------------------------
 
-# Candidate points per fragment slot: indices 0..16 are dyadic roundings of a
-# at geometrically finer grids; each larger index is computed directly as an
-# offset of a by a rational vector inside the slot's admissibility ball.
-_DYADIC_CANDIDATES = 17
+@lru_cache(maxsize=4096)
+def _offset(c: int, dim: int) -> Tuple[Tuple[int, ...], int]:
+    """(u, q) of candidate c in dimension dim: decodes (nums, d) from c and
+    sets q = d + 1 and u_i = nums_i mod (2q-1) - (q-1), so |u_i| < q.  It is
+    the same at every point and slot, and decoding is most of a candidate's
+    cost, so it is cached."""
+    *nums, d = decode_tuple(c, dim + 1)
+    q = d + 1
+    return tuple(num % (2 * q - 1) - (q - 1) for num in nums), q
 
 
 class _OperatorSystem(ApproxSystem):
@@ -236,8 +241,9 @@ class _OperatorSystem(ApproxSystem):
     accepted quadruple is itself sound: |v - f(point)| < 1/(2n+2) and the
     triangle inequality lands b within 1/(n+1).
 
-    membership first tries the run the witness made (_attempts), so a
-    witness the evaluator confirms costs one operator run.
+    The witness runs T on the constant fragment (a, ..., a), one such
+    fragment that needs no candidate.  membership first tries that same run
+    (_attempts), so a witness the evaluator confirms costs one operator run.
     """
 
     def __init__(self, operator: NameOperator, dim: int):
@@ -247,28 +253,20 @@ class _OperatorSystem(ApproxSystem):
         self.name = "operator-system"
 
     def _candidate(self, a: Point, k: int, c: int) -> Point:
-        """Candidate c for slot k: a point strictly inside the 1/(2k+2) ball at a.
-
-        c < 17 rounds a to the grid 2^-h, h = bit_length(2k+2) + c.  Larger c
-        decodes (nums, d) from c - 17, sets q = d + 1 and returns
-        a + t/(2k+2) with t_i = (nums_i mod (2q-1) - (q-1))/q, so |t_i| < 1.
-        Every rational point of the open ball is some candidate, each at O(1)
-        cost.
+        """Candidate c for slot k: a + u/w for (u, q) = _offset(c, dim) and
+        w = q(2k+2), a point strictly inside the 1/(2k+2) ball at a.
+        Candidate 0 is a itself, and every rational point of the open ball is
+        some candidate, each at O(1) cost.
         """
-        if c < _DYADIC_CANDIDATES:
-            # rounding to the grid 2^-h, 2^h > 2k+2, moves a by less than 1/(2k+2);
-            # floor(x 2^h + 1/2) for x = p/d is (2 p 2^h + d) // 2d
-            scale = 1 << ((2 * k + 2).bit_length() + c)
-            return tuple(Fraction((2 * x.numerator * scale + x.denominator) // (2 * x.denominator),
-                                  scale) for x in a)
-        *nums, d = decode_tuple(c - _DYADIC_CANDIDATES, self.dim_in + 1)
-        q = d + 1
-        return tuple(x + Fraction(num % (2 * q - 1) - (q - 1), q * (2 * k + 2))
-                     for x, num in zip(a, nums))
+        us, q = _offset(c, self.dim_in)
+        w = q * (2 * k + 2)
+        # x + u/w for x = p/e is (p w + u e)/(e w)
+        return tuple(Fraction(x.numerator * w + u * x.denominator, x.denominator * w)
+                     for x, u in zip(a, us))
 
     def _ramp(self, a: Point, m: int) -> Tuple[Point, ...]:
-        """The default fragment: candidate 0 at each slot k with 2k+1 <= m."""
-        return tuple(self._candidate(a, k, 0) for k in range((m + 1) // 2))
+        """The default fragment: a itself at each slot k with 2k+1 <= m."""
+        return (a,) * ((m + 1) // 2)
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         """T's value on the default ramp, run with m steps."""

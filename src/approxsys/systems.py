@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .core import DecidableSystem, Modulus, Quadruple
 from .errors import FormatError
-from .numerics import Point, Rat, rat_div
+from .numerics import Point, Rat, as_rat, rat_div
 
 # --- division ----------------------------------------------------------------
 
@@ -410,15 +410,20 @@ def _parse_coef(coef) -> Rat:
     if isinstance(coef, int) and not isinstance(coef, bool):
         return Fraction(coef)
     if isinstance(coef, str) and _RATIONAL.fullmatch(coef):
-        num, _, den = coef.partition("/")
-        if den and int(den) == 0:
-            raise FormatError(f"zero denominator in coefficient {coef!r}")
-        return Fraction(int(num), int(den or 1))
+        return as_rat(coef)  # FormatError on a zero denominator or past the digit limit
     raise FormatError(f'polynomial coefficients must be integers or "p/q" strings: {coef!r}')
 
 
 def formula_from_json(doc) -> Tuple[Formula, int]:
     """Parse the on-disk formula format; FormatError on any malformation."""
+    try:
+        return _formula_from_json(doc)
+    except RecursionError as exc:
+        raise FormatError("formula nests too deeply") from exc
+
+
+def _formula_from_json(doc) -> Tuple[Formula, int]:
+    """formula_from_json, letting RecursionError through."""
     if not isinstance(doc, dict) or set(doc) != {"vars", "formula"}:
         raise FormatError('formula document must have exactly "vars" and "formula"')
     nvars = doc["vars"]
@@ -462,11 +467,8 @@ def formula_from_json(doc) -> Tuple[Formula, int]:
             return FNot(tree(val))
         raise FormatError(f"unknown formula node {key!r}")
 
-    try:
-        formula = tree(doc["formula"])
-        _compile(formula, nvars)  # FormatError on a malformed atom
-    except RecursionError as exc:
-        raise FormatError("formula nests too deeply") from exc
+    formula = tree(doc["formula"])
+    _compile(formula, nvars)  # FormatError on a malformed atom
     return formula, nvars
 
 
@@ -474,6 +476,8 @@ def load_formula(path) -> Tuple[Formula, int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        # json.load or the formula walk, whichever runs out of stack first
+        return _formula_from_json(doc)
     except OSError as exc:
         raise FormatError(f"cannot read formula file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -482,7 +486,6 @@ def load_formula(path) -> Tuple[Formula, int]:
         raise FormatError(f"formula file {path} cannot be decoded: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"formula file {path} nests too deeply") from exc
-    return formula_from_json(doc)
 
 
 # --- the witness: a cylindrical decomposition of the b-line -------------------

@@ -548,6 +548,15 @@ def test_unreadable_formula_file_is_a_usage_error(capsys, unreadable_formula_fil
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coef", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])
+def test_formula_coefficient_past_the_digit_limit_is_a_usage_error(capsys, tmp_path, coef):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"vars": 1, "formula": {"op": ">", "poly": [[coef, [0, 0, 0, 0]]]}}))
+    code, out, err = run(capsys, "eval", "--system", str(path), "--point", "1", "--prec-index", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: not a rational literal: {coef!r}\n"
+
+
 # --- parser plumbing ----------------------------------------------------------------
 
 def test_argparse_exits(capsys):

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as F
 
@@ -441,12 +440,26 @@ def _known_timeout(item, why):
                  id="extracted-1/100",
                  marks=_known_timeout(16, "an extracted system states no modulus")),
     pytest.param(_extracted_division(), name_of_point, (F(1), F(1, 30)), 3, 10**3,
-                 id="extracted-1/30",
-                 marks=_known_timeout(16, "an extracted system states no modulus")),
+                 id="extracted-1/30"),
 ])
 def test_adversarial_inputs_certify(system, make_name, point, n, budget):
     res = apply(system, make_name(point), n, budget)
     assert abs(res.value - point[0] / point[1]) < F(1, n + 1)
+
+
+@pytest.mark.parametrize("point", [(F(1), F(1, 30)), (F(-5, 7), F(1, 20)), (F(1), F(3))])
+@pytest.mark.parametrize("make_name", [name_of_point, dyadic_name, edge_ordinary_name])
+@pytest.mark.parametrize("n", [0, 3, 10])
+def test_extracted_division_certifies_tight_points_in_one_probe(point, make_name, n):
+    # the witness runs division on the point itself, so a tight point is not
+    # rounded onto a nearer pole whose modulus lies past the ladder
+    res = apply(_extracted_division(), make_name(point), n, 10**3)
+    assert res.search_steps == 1
+    assert abs(res.value - point[0] / point[1]) < F(1, n + 1)
+
+
+def test_extracted_division_at_a_tight_point_is_the_quotient():
+    assert apply(_extracted_division(), name_of_point((F(1), F(1, 30))), 3, 10**3).value == 30
 
 
 def _edge_round_trips(point):
@@ -700,11 +713,20 @@ def test_extracted_membership_keeps_every_old_member():
 
 # --- candidates of extracted systems ------------------------------------------------
 
+def test_candidate_zero_and_the_ramp_are_the_point_itself():
+    ext = system_from_operator(_DeadOperator(), 2)
+    for a in [(F(-7, 3), F(5, 2)), (F(1), F(1, 30)), (F(10**4), F(3, 8))]:
+        for k in (0, 1, 5, 100):
+            assert ext._candidate(a, k, 0) == a
+        for m in (0, 1, 2, 7, 1000):
+            assert ext._ramp(a, m) == (a,) * ((m + 1) // 2)
+
+
 def test_coded_candidates_lie_strictly_inside_the_ball():
     ext = system_from_operator(_DeadOperator(), 2)
     a, k = (F(-7, 3), F(5, 2)), 3
     radius = F(1, 2 * k + 2)
-    for c in range(17, 17 + 10**4 + 1):
+    for c in range(10**4 + 1):
         assert dist(ext._candidate(a, k, c), a) < radius
 
 
@@ -713,20 +735,7 @@ def test_coded_candidate_reaches_a_given_offset():
     ext = system_from_operator(_DeadOperator(), 2)
     a, k = (F(-7, 3), F(5, 2)), 3
     want = (a[0] + F(1, 3) / 8, a[1] - F(2, 5) / 8)
-    assert ext._candidate(a, k, 17 + encode_tuple((19, 8, 14))) == want
-
-
-def test_dyadic_candidates_round_half_up():
-    ext = system_from_operator(_DeadOperator(), 2)
-    for a in [(F(-7, 3), F(5, 2)), (F(1, 3), F(-1, 2)), (F(10**4), F(3, 8))]:
-        for k in (0, 1, 5):
-            for c in range(17):
-                scale = 1 << ((2 * k + 2).bit_length() + c)
-                want = tuple(F(math.floor(x * scale + F(1, 2)), scale) for x in a)
-                assert ext._candidate(a, k, c) == want
-    # on the grid 1/4 (k = 0, c = 0) grid points stay and half-way points round up
-    assert ext._candidate((F(5, 2), F(-1, 8)), 0, 0) == (F(5, 2), F(0))
-    assert ext._candidate((F(1, 3), F(-3, 8)), 0, 0) == (F(1, 4), F(-1, 4))
+    assert ext._candidate(a, k, encode_tuple((19, 8, 14))) == want
 
 
 def test_extracted_membership_far_from_the_origin_finishes():

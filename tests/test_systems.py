@@ -657,6 +657,26 @@ def test_formula_from_json_refuses_a_formula_too_deep_for_the_stack():
         formula_from_json({"vars": 1, "formula": node})
 
 
+@pytest.mark.parametrize("coef", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])
+def test_formula_from_json_refuses_a_coefficient_past_the_digit_limit(coef):
+    doc = {"vars": 1, "formula": {"op": ">", "poly": [[coef, [0, 0, 0, 0]]]}}
+    with pytest.raises(FormatError, match=f"^not a rational literal: {coef!r}$"):
+        formula_from_json(doc)
+
+
+def test_load_formula_names_the_file_when_the_formula_walk_runs_out_of_stack(tmp_path, monkeypatch):
+    # a json module that parses deep documents, as on Python 3.13, leaves the
+    # stack limit to the formula walk
+    node = {"op": ">", "poly": [[1, [0, 0, 0, 0]]]}
+    for _ in range(5000):
+        node = {"not": node}
+    path = tmp_path / "deep.json"
+    path.write_text("{}")
+    monkeypatch.setattr(json, "load", lambda fh: {"vars": 1, "formula": node})
+    with pytest.raises(FormatError, match=f"^formula file {path} nests too deeply$"):
+        load_formula(path)
+
+
 def test_semialgebraic_dimension_mismatch():
     formula, _ = squaring_formula()
     with pytest.raises(FormatError):
