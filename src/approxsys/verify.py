@@ -11,10 +11,14 @@ to Inconclusive rather than guessing.
 The soundness audit first asks the oracle to enclose its values on a ball
 (`RefOracle.enclose`).  A ball whose enclosure lies inside the promise with
 room eps to spare is proved: every sample of it would pass, so it is counted
-with its samples and none is built or evaluated.  The other balls are
-sampled.  Sample j of a ball comes from one blake2b digest of the seed, the
-member's text (or condition 2's point and m) and j, so a ball's points do
-not depend on the balls audited before it, and a proved ball draws nothing.
+with its samples and none is built or evaluated.  An inexact oracle is asked
+at eps/1000, the accuracy of a sample's first margin re-query, and the room
+is eps/1000 too: every sample of a ball proved so would pass, at the latest
+after that one re-query, which is what sampling and refinement decide.  The
+other balls are sampled.  Sample j of a ball comes from one blake2b digest
+of the seed, the member's text (or condition 2's point and m) and j, so a
+ball's points do not depend on the balls audited before it, and a proved
+ball draws nothing.
 
 Every audit raises DimensionError before any work on mismatched dimensions,
 and DomainError on a negative index, budget or scan cap, or on a sample count
@@ -24,9 +28,11 @@ below 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from hashlib import blake2b
 from itertools import chain, islice, product
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -39,14 +45,12 @@ from .numerics import Point, Rat, as_point, rat_div
 class Enclosure(NamedTuple):
     """Integer ends lo = lo[0]/lo[1] <= hi = hi[0]/hi[1], denominators > 0,
     of every value an eps-accurate oracle can give on an open ball.  An end
-    flagged open is reached only on the ball's boundary.  `at_center` is the
-    oracle's value at the center, when enclosing asked for it."""
+    flagged open is reached only on the ball's boundary."""
 
     lo: Tuple[int, int]
     hi: Tuple[int, int]
     lo_open: bool = False
     hi_open: bool = False
-    at_center: Optional[Rat] = None
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,9 @@ class RefOracle:
     inexact oracles must be called with eps > 0.  `enclose(a, m, eps)`
     bounds the oracle's values on the open ball of radius 1/(m+1) around a,
     or returns None; this class knows no bound, so the soundness audit
-    samples every ball.  The built-in oracles enclose their functions.
+    samples every ball.  The built-in oracles enclose their functions.  The
+    audit asks an inexact oracle at eps/1000, the accuracy of the first
+    margin re-query, and an exact one at eps = 0.
     """
 
     eval: Callable[[Point, Rat], Rat]
@@ -103,6 +109,26 @@ class Verdict:
 
 # --- reference oracles ----------------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def _cos_sum(xn: int, xd: int, en: int, ed: int) -> Tuple[int, int]:
+    """cos_taylor's sum at x = xn/xd, xd > 0, within err = en/ed, as
+    integers total/scale, scale > 0.  Keyed by integers: hashing a
+    `Fraction` costs more than a repeated sum saves."""
+    if en <= 0:
+        raise DomainError("cos_taylor needs a positive error bound")
+    s, t = xn * xn, xd * xd
+    total = scale = power = 1
+    i = 0
+    while True:
+        c = t * (2 * i + 1) * (2 * i + 2)
+        power *= s
+        if s <= c and power * ed <= scale * c * en:
+            return total, scale
+        scale *= c
+        total = total * c + (power if i % 2 else -power)
+        i += 1
+
+
 def cos_taylor(x: Rat, err: Rat) -> Rat:
     """Partial Taylor sum within err of cos x, exact rational arithmetic.
 
@@ -113,21 +139,31 @@ def cos_taylor(x: Rat, err: Rat) -> Rat:
     up to i is total/D and the next term is s^(i+1)/(D c) for
     c = t (2i+1)(2i+2).
     """
-    en, ed = err.as_integer_ratio()
-    if en <= 0:
-        raise DomainError("cos_taylor needs a positive error bound")
-    xn, xd = x.as_integer_ratio()
-    s, t = xn * xn, xd * xd
-    total = scale = power = 1
-    i = 0
-    while True:
-        c = t * (2 * i + 1) * (2 * i + 2)
-        power *= s
-        if s <= c and power * ed <= scale * c * en:
-            return Fraction(total, scale)
-        scale *= c
-        total = total * c + (power if i % 2 else -power)
-        i += 1
+    return Fraction(*_cos_sum(*x.as_integer_ratio(), *err.as_integer_ratio()))
+
+
+def _pi_bounds(bits: int) -> Tuple[int, int]:
+    """Integers lo < pi 2^bits < hi, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239).  Each arctangent's alternating
+    series is summed until its next term is below 2^-bits; the truth lies
+    strictly between that partial sum and the next one."""
+    lo = hi = Fraction(0)
+    for weight, x in ((16, 5), (-4, 239)):
+        total, i = Fraction(0), 0
+        while True:
+            den = (2 * i + 1) * x ** (2 * i + 1)
+            term = Fraction(1 if i % 2 == 0 else -1, den)
+            if den >> bits:
+                break
+            total += term
+            i += 1
+        ends = sorted((weight * total, weight * (total + term)))
+        lo, hi = lo + ends[0], hi + ends[1]
+    return math.floor(lo * (1 << bits)), math.ceil(hi * (1 << bits))
+
+
+_PI_BITS = 128
+_PI_LO, _PI_HI = _pi_bounds(_PI_BITS)
 
 
 class _DivisionOracle(RefOracle):
@@ -166,15 +202,32 @@ class _SquareOracle(RefOracle):
 
 class _CosineOracle(RefOracle):
     def enclose(self, a: Point, m: int, eps: Rat) -> Optional[Enclosure]:
-        """c +- (1/(m+1) + 2 eps) for the value c at the center: cos is
-        1-Lipschitz, and c and each value are within eps of the truth."""
-        c = self.eval(a, eps)
-        pc, qc = c.as_integer_ratio()
+        """The range of cos on the closed interval [|a| - r, |a| + r],
+        r = 1/(m+1), which has cos's range on the ball since cos is even,
+        widened by 2 eps: one eps for the end values' own error, one for
+        the oracle's.  cos is monotone between multiples of pi, so the range
+        is spanned by the two end values, and by 1 (or -1) where an even
+        (odd) multiple k pi may lie inside; k >= 0, as the interval starts
+        at -1 or above.  k pi lies in (k _PI_LO, k _PI_HI)/2^_PI_BITS, so
+        each k from the least with k _PI_HI >= (|a| - r) 2^_PI_BITS to the
+        greatest with k _PI_LO <= (|a| + r) 2^_PI_BITS may; two consecutive
+        ones cover both parities."""
+        p, q = a[0].as_integer_ratio()
         en, ed = eps.as_integer_ratio()
         M = m + 1
-        mid, r = pc * M * ed, qc * (ed + 2 * en * M)
-        D = qc * M * ed
-        return Enclosure((mid - r, D), (mid + r, D), False, False, c)
+        p, d = M * abs(p), M * q  # the ends (p -+ q)/d
+        (t1, s1), (t2, s2) = _cos_sum(abs(p - q), d, en, ed), _cos_sum(p + q, d, en, ed)
+        if t1 * s2 > t2 * s1:
+            (t1, s1), (t2, s2) = (t2, s2), (t1, s1)
+        lo, hi = (t1 * ed - 2 * en * s1, s1 * ed), (t2 * ed + 2 * en * s2, s2 * ed)
+        k_lo = max(0, -((q - p << _PI_BITS) // (d * _PI_HI)))
+        k_hi = (p + q << _PI_BITS) // (d * _PI_LO)
+        parities = {k % 2 for k in range(k_lo, min(k_hi, k_lo + 1) + 1)}
+        if 0 in parities:
+            hi = (ed + 2 * en, ed)
+        if 1 in parities:
+            lo = (-ed - 2 * en, ed)
+        return Enclosure(lo, hi)
 
 
 def division_oracle() -> RefOracle:
@@ -248,7 +301,8 @@ def _sample_ball(center: Point, m: int, count: int, key: str,
 
 # --- condition (1): soundness ----------------------------------------------------
 
-_REFINE_ROUNDS = 3  # margin-band re-queries of one sample, each at a thousandth of the last eps
+_REFINE_ROUNDS = 3  # margin-band re-queries of one sample
+_REFINE = 1000  # each re-query's eps is the last one's over _REFINE
 
 
 def _side(pb: int, qb: int, approx: Rat, N: int, en: int, ed: int) -> int:
@@ -282,7 +336,7 @@ def _refine(oracle: RefOracle, xi: Point, pb: int, qb: int, N: int, en: int, ed:
     of the last eps, until it leaves the band or `_REFINE_ROUNDS` queries are
     spent; returns its last `_side` and the value that decided it."""
     for _ in range(_REFINE_ROUNDS):
-        ed *= 1000
+        ed *= _REFINE
         approx = oracle.eval(xi, Fraction(en, ed))
         side = _side(pb, qb, approx, N, en, ed)
         if side:
@@ -305,8 +359,9 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     inside the margin band is queried again with eps/1000, up to
     `_REFINE_ROUNDS` times, and decided by the margin of its last query; one
     still in the band is recorded and reported Inconclusive unless a real
-    counterexample also shows up.  A ball the oracle's enclosure proves (see
-    the module docstring) counts its samples without evaluating them.
+    counterexample also shows up.  A ball the oracle's enclosure proves, at
+    eps/1000 for an inexact oracle (see the module docstring), counts its
+    samples without evaluating them.
     """
     same_dim(f"system {system.name}", system.dim_in, f"oracle {oracle.name}", oracle.dim)
     at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
@@ -317,16 +372,16 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
         en, ed = (0, 1) if oracle.exact else (1, 10 * N * N)
         eps = Fraction(en, ed)
         pb, qb = quad.b.as_integer_ratio()
-        box = oracle.enclose(quad.a, quad.m, eps)
-        if box is not None and _proves(box, pb, qb, N, en, ed):
+        ped = ed if oracle.exact else _REFINE * ed  # an inexact oracle proves at eps/1000
+        box = oracle.enclose(quad.a, quad.m, eps if oracle.exact else Fraction(en, ped))
+        if box is not None and _proves(box, pb, qb, N, en, ped):
             proved += 1
             samples += xi_samples
             continue
-        center = None if box is None else box.at_center
         key = f"{seed};{_text(quad.a)};{quad.m};{quad.b};{quad.n}"
         for xi in _sample_ball(quad.a, quad.m, xi_samples, key, oracle.domain_test):
             samples += 1
-            approx = center if xi is quad.a and center is not None else oracle.eval(xi, eps)
+            approx = oracle.eval(xi, eps)
             side = _side(pb, qb, approx, N, en, ed)
             if side == 0:
                 side, approx = _refine(oracle, xi, pb, qb, N, en, ed)

@@ -408,12 +408,12 @@ def test_verify_cosine_never_counterexample(capsys):
 
 
 def test_verify_cosine_default_passes(capsys):
-    # margin straddles are re-queried at a tighter eps, and all of them resolve
+    # every ball is proved from cos's range, so no sample needs refining
     code, out, _ = run(capsys, "verify", "--system", "cosine")
     assert code == 0
     assert out == (
         "condition1: outcome = pass, samples = 10000, seed = 0\n"
-        "condition1: checked 1000 quadruples, 80 samples refined out of the oracle margin band\n"
+        "condition1: checked 1000 quadruples\n"
     )
 
 

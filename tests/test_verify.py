@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -385,7 +387,7 @@ class _Touching(RefOracle):
 @pytest.mark.parametrize("exact, proved", [(True, True), (False, False)])
 def test_open_ends_may_touch_the_bound_only_for_an_exact_oracle(exact, proved):
     # at (0, 0, 0, 0) an exact oracle's enclosure [-1, 1] touches the bound 1
-    # at ends it never reaches; with eps = 1/10 the audit needs room eps
+    # at ends it never reaches; an inexact one, asked at eps = 1/10^4, needs room eps
     oracle = _Touching(lambda xi, eps: F(0), lambda xi: True, exact=exact, name="zero", dim=1)
     v = verify_condition1(_Listed(Quadruple((F(0),), 0, F(0), 0)), oracle, 1, 3)
     assert v.outcome is Outcome.PASS and v.proved == proved
@@ -400,15 +402,57 @@ def test_division_and_square_prove_every_default_member():
         assert v.to_json() == verify_condition1(system, _plain(oracle)).to_json()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
-       st.fractions(min_value=-20, max_value=20, max_denominator=10**6))
-def test_cosine_oracle_lipschitz_constant_holds(x, y):
-    # the cosine enclosure c +- (1/(m+1) + 2 eps) rests on L = 1
-    oracle = cosine_oracle()
+_BALL_CENTER = st.fractions(min_value=-30, max_value=30, max_denominator=10**6)
+_CLOSED_UNIT = st.fractions(min_value=-1, max_value=1, max_denominator=10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BALL_CENTER, st.integers(min_value=0, max_value=50), _CLOSED_UNIT,
+       st.integers(min_value=1, max_value=10**12))
+@example(F(1, 4), 0, F(-1), 10)  # the ball holds 0
+@example(F(3), 0, F(1, 7), 10)  # the ball holds pi
+@example(F(-6), 0, F(1), 10**4)  # the ball holds -2 pi
+def test_cosine_enclosure_holds_on_the_ball(a, m, t, ed):
+    # cos_taylor at eps and cos to 300 bits lie inside the enclosure at
+    # every point of the closed ball; the truth even has room eps to spare
+    eps = F(1, ed)
+    box = cosine_oracle().enclose((a,), m, eps)
+    lo, hi = _end(box.lo), _end(box.hi)
+    assert not box.lo_open and not box.hi_open
+    x = a + t * F(1, m + 1)
+    assert lo <= cos_taylor(x, eps) <= hi
+    with mpmath.workprec(300):
+        def mp(y):
+            return mpmath.mpf(y.numerator) / y.denominator
+
+        assert mp(lo + eps) <= mpmath.cos(mp(x)) <= mp(hi - eps)
+
+
+@pytest.mark.parametrize("a, m, lo, hi", [
+    (F(1, 4), 0, None, 1),  # [-3/4, 5/4] holds 0
+    (F(3), 0, -1, None),  # [2, 4] holds pi
+    (F(6), 0, None, 1),  # [5, 7] holds 2 pi
+    (F(-3), 0, -1, None),  # cos is even: [-4, -2] holds -pi
+    (F(333, 106) - F(1, 2), 1, None, None),  # ends at 333/106, just short of pi
+    (F(355, 113) - F(1, 2), 1, -1, None),  # ends at 355/113, just past pi
+])
+def test_cosine_enclosure_reaches_the_extremes_at_multiples_of_pi(a, m, lo, hi):
+    # an end not reached at a multiple of pi is an end value of the interval,
+    # each within eps of cos there, widened by 2 eps
     eps = F(1, 10**6)
-    cx, cy = oracle.eval((x,), eps), oracle.eval((y,), eps)
-    assert abs(cx - cy) <= abs(x - y) + 2 * eps
+    box = cosine_oracle().enclose((a,), m, eps)
+    r = F(1, m + 1)
+    ends = [cos_taylor(abs(a) - r, eps), cos_taylor(abs(a) + r, eps)]
+    assert _end(box.lo) == (min(ends) if lo is None else lo) - 2 * eps
+    assert _end(box.hi) == (max(ends) if hi is None else hi) + 2 * eps
+
+
+def test_pi_bounds_bracket_pi():
+    lo, hi = verify._PI_LO, verify._PI_HI
+    assert 0 < hi - lo < 64
+    with mpmath.workprec(400):
+        pi = mpmath.pi * 2 ** verify._PI_BITS
+        assert lo < pi < hi
 
 
 def _counting(oracle):
@@ -436,22 +480,31 @@ _CERTIFICATE_CASES = [
 ]
 
 
+_REFINED_NOTE = re.compile(r", \d+ samples refined out of the oracle margin band")
+
+
 @pytest.mark.parametrize("predicate, seed, xi, quads", _CERTIFICATE_CASES)
-def test_lipschitz_certificate_keeps_every_verdict(predicate, seed, xi, quads):
+def test_cosine_ball_proof_keeps_every_verdict(predicate, seed, xi, quads):
+    # a ball proved at eps/1000 is one where every sample passes, at the
+    # latest after one re-query: only the count of refined samples may drop
     system = cosine_system() if predicate is None else DecidableSystem(predicate, 1, name="cosine-lax")
-    certified, calls = _counting(cosine_oracle())
+    proved, calls = _counting(cosine_oracle())
     sampled, sampled_calls = _counting(_plain(cosine_oracle()))
-    v = verify_condition1(system, certified, quads, xi, seed)
-    assert v.to_json() == verify_condition1(system, sampled, quads, xi, seed).to_json()
+    v = verify_condition1(system, proved, quads, xi, seed)
+    w = verify_condition1(system, sampled, quads, xi, seed)
+    assert (v.outcome, v.samples, v.seed, v.witness) == (w.outcome, w.samples, w.seed, w.witness)
+    assert _REFINED_NOTE.sub("", v.diagnostics) == _REFINED_NOTE.sub("", w.diagnostics)
+    if predicate is not None:
+        assert v.outcome is Outcome.COUNTER_EXAMPLE
     assert len(calls) <= len(sampled_calls)
 
 
-def test_lipschitz_certificate_skips_most_oracle_calls():
+def test_default_cosine_audit_proves_every_ball_without_an_oracle_call():
     oracle, calls = _counting(cosine_oracle())
-    v = verify_condition1(cosine_system(), oracle, quad_samples=300, xi_samples=10)
-    assert v.samples == 3000 and v.proved > 150
-    # one call per ball at its center, nine more for each unproved one
-    assert len(calls) < v.samples / 2
+    v = verify_condition1(cosine_system(), oracle)
+    assert (v.outcome, v.proved, v.samples) == (Outcome.PASS, 1000, 10000)
+    assert v.diagnostics == "checked 1000 quadruples"
+    assert calls == []
 
 
 class _Listed:
@@ -467,24 +520,21 @@ class _Listed:
         return self.quads[:count]
 
 
-@pytest.mark.parametrize("b, certified", [
-    (F(7, 10) - F(1, 10**9), True),
-    (F(7, 10), False),
-    (F(-1, 2) + F(1, 10**9), True),
-    (F(-1, 2), False),
+@pytest.mark.parametrize("b, proved", [
+    (F(3, 10**4) + F(1, 10**12), True),
+    (F(3, 10**4), False),
 ])
-def test_ball_certificate_needs_three_eps_to_spare(b, certified):
-    # f(x) = x, 1-Lipschitz like cos, so the cosine oracle's enclosure holds
-    # for it, from an oracle that errs by +eps, as its contract allows.  For
-    # (a, m, n) = (0, 9, 0), eps = 1/10 and the center's value c = 1/10, the
-    # enclosure c +- 3/10 lies inside (b - 1 + 1/10, b + 1 - 1/10) exactly
-    # for -1/2 < b < 7/10.
-    identity = dataclasses.replace(cosine_oracle(), eval=lambda xi, eps: xi[0] + eps, name="identity")
-    oracle, asked = _counting(identity)
-    v = verify_condition1(_Listed(Quadruple((F(0),), 9, b, 0)), oracle, 1, 10)
+def test_cosine_ball_proof_needs_three_eps_over_1000_to_spare(b, proved):
+    # For (a, m, n) = (1/4, 0, 0), eps = 1/10, and the proof is made at
+    # eps' = 1/10^4.  The ball [-3/4, 5/4] holds 0, so the enclosure's upper
+    # end is 1 + 2 eps', and it lies below b + 1 - eps' exactly for
+    # b > 3 eps'; its lower end, near cos(5/4) = 0.315, is far inside.
+    oracle, asked = _counting(cosine_oracle())
+    v = verify_condition1(_Listed(Quadruple((F(1, 4),), 0, b, 0)), oracle, 1, 10)
     assert v.outcome is Outcome.PASS and v.samples == 10
-    assert v.proved == certified
-    assert len(asked) == (1 if certified else 10)
+    assert v.proved == proved
+    # a sampled ball asks at each of its 10 points, some of them twice to refine
+    assert len(set(asked)) == (0 if proved else 10)
 
 
 def _inexact_constant(value, error):
