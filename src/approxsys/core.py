@@ -221,10 +221,11 @@ class DecidableSystem(ApproxSystem):
 
     screen, when given, is a pair (point_key, tail_key) with the contract
     that decide(q) implies point_key(q.a) == tail_key(q.m, q.b, q.n).  The
-    prefix scan computes each key once per point or tail decoded and calls
-    decide only where the two are equal, so keys should be cheap to compare
-    in C (ints, tuples of ints, None).  It changes no member, no code order
-    and neither enumerate nor membership, which still call decide alone.
+    prefix scan computes each key once per point or tail decoded, and
+    builds a quadruple and calls decide only where the two are equal, so
+    keys should be cheap to compare in C (ints, tuples of ints, None).  It
+    changes no member, no code order and neither enumerate nor membership,
+    which still call decide alone.
     """
 
     def __init__(
@@ -268,18 +269,20 @@ class DecidableSystem(ApproxSystem):
 
         Code k = C(i, r) lies on diagonal t = i + r at position r, and the
         diagonal pairs point codes t..0 with tails 0..t.  So each diagonal
-        decodes one new point and one new tail into growing lists, and the
-        quadruples of a diagonal's codes below stop are built from their
-        entries in one pass, as one list `quads`.  compress keeps the members
-        by map(decide, quads): decide is looked up once, here, as the bare
-        predicate (every point decoded has dimension dim_in) unless the
-        instance's `decide` was replaced (a tracer, say), and called once
-        per quadruple built, in code order, and never past the member the
-        caller stops at.  With a screen, each point's and each tail's key is
-        computed when it is decoded, and a diagonal builds quadruples only
-        at the codes whose two keys are equal (one C-level mask per
-        diagonal); decide never accepts the others.  No other per-code work
-        runs in Python.
+        decodes one new point and one new tail into growing lists, and
+        builds the quadruples of its codes below stop from their entries as
+        one list `quads`.  compress keeps the members by map(decide, quads):
+        decide is looked up once, here, as the bare predicate (every point
+        decoded has dimension dim_in) unless the instance's `decide` was
+        replaced (a tracer, say), and called once per quadruple built, in
+        code order, and never past the member the caller stops at.
+
+        Without a screen, a diagonal's quadruples are built in one C-level
+        pass, one per code.  With a screen, each point's and each tail's key
+        is computed when it is decoded; a diagonal first compares its keys
+        in C to find the positions where they are equal, and builds
+        quadruples only there, one Python step per match; decide never
+        accepts the other codes, which cost no Python work.
         """
         decide = self._bare if self.decide is self._checked else self.decide
         dim, screen = self.dim_in, self.screen
@@ -297,12 +300,14 @@ class DecidableSystem(ApproxSystem):
             # codes k..end-1 sit at positions r..last-1 of diagonal t
             end = min(stop, k + t + 1 - r)
             last = r + end - k
-            codes = range(k, end)
-            rows = zip(points[i::-1], ms[r:last], bs[r:last], ns[r:last])
-            if screen is not None:
-                mask = list(map(eq, pkeys[i::-1], tkeys[r:last]))
-                codes, rows = compress(codes, mask), compress(rows, mask)
-            quads = list(map(make, rows))
+            if screen is None:
+                codes = range(k, end)
+                quads = list(map(make, zip(points[i::-1], ms[r:last], bs[r:last], ns[r:last])))
+            else:
+                # positions h of diagonal t whose keys match: point t - h, tail h
+                hits = list(compress(range(r, last), map(eq, pkeys[i::-1], tkeys[r:last])))
+                codes = [k - r + h for h in hits]
+                quads = [make((points[t - h], ms[h], bs[h], ns[h])) for h in hits]
             yield from compress(zip(codes, quads), map(decide, quads))
             k = end
             t += 1

@@ -58,8 +58,14 @@ def _division_modulus(a: Optional[Point], n: int) -> Optional[int]:
 def _quotient_key(a: Point) -> Optional[Tuple[int, int]]:
     """The scan's point key: a1/a2 in lowest terms, None where decide
     always rejects (a2 = 0).  b.as_integer_ratio(), the tail key, equals it
-    whenever decide accepts, since decide tests b == a1/a2."""
-    return (a[0] / a[1]).as_integer_ratio() if a[1] else None
+    whenever decide accepts, since decide tests b == a1/a2.  Built from
+    the ratios p1 q2 / (q1 p2) and one gcd, with no Fraction division."""
+    (p1, q1), (p2, q2) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
+    if not p2:
+        return None
+    num, den = p1 * q2, q1 * p2
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
 @lru_cache(maxsize=None)

@@ -211,22 +211,28 @@ class _CosineOracle(RefOracle):
         at -1 or above.  k pi lies in (k _PI_LO, k _PI_HI)/2^_PI_BITS, so
         each k from the least with k _PI_HI >= (|a| - r) 2^_PI_BITS to the
         greatest with k _PI_LO <= (|a| + r) 2^_PI_BITS may; two consecutive
-        ones cover both parities."""
+        ones cover both parities.  Those k are decided first, and only the
+        end values the range needs are summed: none when both parities may
+        lie inside, and only cos(|a| + r), the least value, when the ball
+        holds 0 (k = 0, that is (m+1)|a| <= 1) and no other multiple may."""
         p, q = a[0].as_integer_ratio()
         en, ed = eps.as_integer_ratio()
         M = m + 1
         p, d = M * abs(p), M * q  # the ends (p -+ q)/d
-        (t1, s1), (t2, s2) = _cos_sum(abs(p - q), d, en, ed), _cos_sum(p + q, d, en, ed)
+        k_lo = max(0, -((q - p << _PI_BITS) // (d * _PI_HI)))
+        k_hi = (p + q << _PI_BITS) // (d * _PI_LO)
+        top, bottom = (ed + 2 * en, ed), (-ed - 2 * en, ed)
+        if k_lo < k_hi:
+            return Enclosure(bottom, top)
+        t2, s2 = _cos_sum(p + q, d, en, ed)
+        if k_lo == k_hi == 0:
+            return Enclosure((t2 * ed - 2 * en * s2, s2 * ed), top)
+        t1, s1 = _cos_sum(p - q, d, en, ed)  # p > q, as k_lo > 0
         if t1 * s2 > t2 * s1:
             (t1, s1), (t2, s2) = (t2, s2), (t1, s1)
         lo, hi = (t1 * ed - 2 * en * s1, s1 * ed), (t2 * ed + 2 * en * s2, s2 * ed)
-        k_lo = max(0, -((q - p << _PI_BITS) // (d * _PI_HI)))
-        k_hi = (p + q << _PI_BITS) // (d * _PI_LO)
-        parities = {k % 2 for k in range(k_lo, min(k_hi, k_lo + 1) + 1)}
-        if 0 in parities:
-            hi = (ed + 2 * en, ed)
-        if 1 in parities:
-            lo = (-ed - 2 * en, ed)
+        if k_lo == k_hi:
+            lo, hi = (bottom, hi) if k_lo % 2 else (lo, top)
         return Enclosure(lo, hi)
 
 
@@ -367,17 +373,25 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
     at_least(1, quad_samples=quad_samples, xi_samples=xi_samples)
     quads = system.members_prefix(quad_samples, scan_cap)
     samples = proved = straddles = refined = 0
+    zero = Fraction(0)  # every eps of an exact oracle
+    proof_eps = {}  # an inexact oracle's eps/1000, by N
     for quad in quads:
         N = quad.n + 1
-        en, ed = (0, 1) if oracle.exact else (1, 10 * N * N)
-        eps = Fraction(en, ed)
         pb, qb = quad.b.as_integer_ratio()
-        ped = ed if oracle.exact else _REFINE * ed  # an inexact oracle proves at eps/1000
-        box = oracle.enclose(quad.a, quad.m, eps if oracle.exact else Fraction(en, ped))
+        if oracle.exact:
+            en, ed, ped, peps = 0, 1, 1, zero
+        else:
+            en, ed = 1, 10 * N * N
+            ped = _REFINE * ed  # an inexact oracle proves at eps/1000
+            peps = proof_eps.get(N)
+            if peps is None:
+                peps = proof_eps[N] = Fraction(en, ped)
+        box = oracle.enclose(quad.a, quad.m, peps)
         if box is not None and _proves(box, pb, qb, N, en, ped):
             proved += 1
             samples += xi_samples
             continue
+        eps = zero if oracle.exact else Fraction(en, ed)
         key = f"{seed};{_text(quad.a)};{quad.m};{quad.b};{quad.n}"
         for xi in _sample_ball(quad.a, quad.m, xi_samples, key, oracle.domain_test):
             samples += 1
@@ -475,17 +489,20 @@ def verify_containment(sub: ApproxSystem, sup: ApproxSystem, count: int = 1000,
                        scan_cap: Optional[int] = None, budget: int = 4096) -> Verdict:
     """Check that an enumeration prefix of `sub` is contained in `sup`.
 
-    With a decidable `sup` a missing member is a definite CounterExample;
-    when `sup` is merely enumerable, absence within the budget is only
-    Inconclusive.
+    A decidable `sup` is asked through its `decide`, whatever the budget,
+    and a missing member is a definite CounterExample; a merely enumerable
+    `sup` is asked through `membership` within the budget, and absence is
+    only Inconclusive.
     """
     same_dim(f"system {sub.name}", sub.dim_in, f"system {sup.name}", sup.dim_in)
     at_least(0, budget=budget)
     at_least(1, count=count)
     quads = sub.members_prefix(count, scan_cap)
+    decide = sup.decide
     for idx, q in enumerate(quads):
-        if sup.membership(q, budget) is not Membership.YES:
-            outcome = Outcome.COUNTER_EXAMPLE if sup.decide is not None else Outcome.INCONCLUSIVE
+        accepted = decide(q) if decide is not None else sup.membership(q, budget) is Membership.YES
+        if not accepted:
+            outcome = Outcome.COUNTER_EXAMPLE if decide is not None else Outcome.INCONCLUSIVE
             return Verdict(outcome, idx + 1, witness={"quad": q.to_json_dict()},
                            diagnostics=f"member #{idx} of {sub.name} not accepted by {sup.name}")
     return Verdict(Outcome.PASS, len(quads),

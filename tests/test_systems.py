@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as F
 from functools import reduce
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,10 +17,13 @@ from approxsys.systems import (
     FNot,
     FOr,
     _Root,
+    _cos_k0,
     _dyadic_between,
+    _half_term,
     _isolated_roots,
     _linear_roots,
     _mul,
+    _quotient_key,
     _simplest_dyadic,
     atom,
     cosine_system,
@@ -119,11 +123,16 @@ def test_division_members_below_10_5_pass_the_screen():
 
 @settings(max_examples=300)
 @given(wide_rats, wide_rats, output_indices, st.integers(0, 50))
+@example(F(-7, 3), F(-14, 9), 0, 0)  # a2 < 0
+@example(F(0), F(-5, 2), 3, 1)  # a1 = 0
+@example(F(5, 4), F(0), 2, 0)  # a2 = 0
 def test_division_accepted_at_the_quotient_pass_the_screen(a1, a2, n, extra):
     system = division_system()
+    assert system.screen[0] is _quotient_key
     if a2 == 0:
-        assert system.screen[0]((a1, a2)) is None
+        assert _quotient_key((a1, a2)) is None
         return
+    assert _quotient_key((a1, a2)) == (a1 / a2).as_integer_ratio()
     m = system.modulus((a1, a2), n) + extra
     q = Quadruple((a1, a2), m, a1 / a2, n)
     assert system.decide(q) and _passes_screen(system, q)
@@ -285,6 +294,23 @@ def test_integer_coordinates_give_exact_fractions(ints):
     for label, call in calls.items():
         got, want = call(ints), call(tuple(map(F, ints)))
         assert type(got) is F and got == want, label
+
+
+@settings(max_examples=300)
+@given(st.fractions(min_value=-64, max_value=64, max_denominator=64).filter(bool),
+       st.integers(min_value=0, max_value=5))
+@example(F(64), 5)
+@example(F(1, 64), 0)
+def test_sigma_within_half_term_of_an_independent_cos(a, extra):
+    # |sigma_k(a) - cos a| <= e_k from the first k with a^2 <= (2k+1)(2k+2),
+    # against mpmath's cos at 300 bits, which shares no code with sigma_k
+    k = _cos_k0(a * a) + extra
+    with mpmath.workprec(300):
+        def mp(y):
+            return mpmath.mpf(y.numerator) / y.denominator
+
+        assert abs(mp(sigma_k(a, k)) - mpmath.cos(mp(a))) <= mp(_half_term(a, k))
+    assert sigma_k(F(0), k + 1) == 1
 
 
 def test_sigma_midpoint_error_bound():

@@ -428,8 +428,12 @@ def test_cosine_enclosure_holds_on_the_ball(a, m, t, ed):
         assert mp(lo + eps) <= mpmath.cos(mp(x)) <= mp(hi - eps)
 
 
+_EXTREMES_EPS = F(1, 10**6)
+
+
 @pytest.mark.parametrize("a, m, lo, hi", [
-    (F(1, 4), 0, None, 1),  # [-3/4, 5/4] holds 0
+    # [-3/4, 5/4] holds 0 and no other multiple: cos(5/4) is the least value
+    (F(1, 4), 0, cos_taylor(F(5, 4), _EXTREMES_EPS), 1),
     (F(3), 0, -1, None),  # [2, 4] holds pi
     (F(6), 0, None, 1),  # [5, 7] holds 2 pi
     (F(-3), 0, -1, None),  # cos is even: [-4, -2] holds -pi
@@ -439,7 +443,7 @@ def test_cosine_enclosure_holds_on_the_ball(a, m, t, ed):
 def test_cosine_enclosure_reaches_the_extremes_at_multiples_of_pi(a, m, lo, hi):
     # an end not reached at a multiple of pi is an end value of the interval,
     # each within eps of cos there, widened by 2 eps
-    eps = F(1, 10**6)
+    eps = _EXTREMES_EPS
     box = cosine_oracle().enclose((a,), m, eps)
     r = F(1, m + 1)
     ends = [cos_taylor(abs(a) - r, eps), cos_taylor(abs(a) + r, eps)]
@@ -500,11 +504,22 @@ def test_cosine_ball_proof_keeps_every_verdict(predicate, seed, xi, quads):
 
 
 def test_default_cosine_audit_proves_every_ball_without_an_oracle_call():
-    oracle, calls = _counting(cosine_oracle())
+    base, asked = cosine_oracle(), []
+
+    class Recording(type(base)):
+        def enclose(self, a, m, eps):
+            asked.append(eps)
+            return super().enclose(a, m, eps)
+
+    oracle, calls = _counting(Recording(base.eval, base.domain_test, base.exact, base.name, base.dim))
     v = verify_condition1(cosine_system(), oracle)
     assert (v.outcome, v.proved, v.samples) == (Outcome.PASS, 1000, 10000)
     assert v.diagnostics == "checked 1000 quadruples"
     assert calls == []
+    # each ball is proved at eps/1000 = 1/(10^4 (n+1)^2) of its own n
+    quads = cosine_system().members_prefix(1000)
+    assert len({q.n for q in quads}) > 1
+    assert asked == [F(1, 10**4 * (q.n + 1) ** 2) for q in quads]
 
 
 class _Listed:
