@@ -88,11 +88,10 @@ def decode_quadruple(k: int, dim: int) -> Quadruple:
 def _decode_tail(rest: int) -> Tuple[int, Rat, int]:
     """(m, b, n) from the tail C(m, C(j, n)) of a quadruple code.
 
-    Memoised like decode_point, for decode_quadruple's random access and the
-    evaluator's dovetail: the tail code grows only like the square root of
-    the quadruple code (about 460 distinct tails among the first 10^5
-    codes).  Prefix scans decode each tail once per diagonal instead
-    (DecidableSystem._walk).
+    Memoised like decode_point, for decode_quadruple's random access
+    (enumerate(k)): the tail code grows only like the square root of the
+    quadruple code (about 460 distinct tails among the first 10^5 codes).
+    Prefix scans instead decode each tail once per diagonal (_walk).
     """
     m, rest = cantor_split(rest)
     j, n = cantor_split(rest)

@@ -150,11 +150,11 @@ def encode_rat(x: Rat) -> int:
     return encode_tuple((max(p, 0), max(-p, 0), q - 1))
 
 
-# Decoded values are immutable, and decode_quadruple's random access and the
-# evaluator's dovetail decode the same few point and rational codes over and
-# over, so both decoders are memoised, boundedly.  A prefix scan decodes
-# each point code once per Cantor diagonal (DecidableSystem._walk), about
-# 460 of them for the first 10^4 division members.
+# Decoded values are immutable, and decode_quadruple's random access decodes
+# the same few point codes over and over, as the evaluator's phase B does
+# rational codes, so both decoders are memoised, boundedly.  A prefix scan
+# decodes each point code once per Cantor diagonal (DecidableSystem._walk),
+# about 460 of them for the first 10^4 division members.
 _DECODE_CACHE = 1 << 12
 
 

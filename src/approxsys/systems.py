@@ -92,7 +92,8 @@ def _quotient_range(a: Point, m: int) -> Optional[Tuple[int, int, int, int]]:
     p2 > 0, as (-a1, -a2) has the same corners, the corner
     (M a1 + e1)/(M a2 + e2) is x/y for x = (M p1 + e1 q1) q2 and
     y = (M p2 + e2 q2) q1 > 0.  e1 = 1 gives the greater x, and for the y
-    of e2 = -1 and 1, y- < y+, x/y- >= x/y+ iff x >= 0.
+    of e2 = -1 and 1, y- < y+, x/y- >= x/y+ iff x >= 0.  The same range is
+    the division oracle's enclosure (verify._DivisionOracle.enclose).
     """
     (p1, q1), (p2, q2) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
     M = m + 1
@@ -127,7 +128,10 @@ def _maximal_division_witness(a: Point, m: int, n: int) -> Optional[Rat]:
 
 @lru_cache(maxsize=None)
 def maximal_division_system() -> DecidableSystem:
-    """The largest sound system for division: interval containment at corners."""
+    """The largest sound system for division: (a, m, b, n) is a member iff
+    the quotient's corner range on the closed ball (`_quotient_range`) lies
+    in [b - 1/(n+1), b + 1/(n+1)], exactly when the division oracle's
+    enclosure proves the ball."""
     return DecidableSystem(
         _maximal_division_decide,
         dim=2,

@@ -40,6 +40,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from .core import ApproxSystem, Membership, Quadruple
 from .errors import DomainError, at_least, same_dim
 from .numerics import Point, Rat, as_point, rat_div
+from .systems import _quotient_range
 
 
 class Enclosure(NamedTuple):
@@ -169,21 +170,14 @@ _PI_LO, _PI_HI = _pi_bounds(_PI_BITS)
 class _DivisionOracle(RefOracle):
     def enclose(self, a: Point, m: int, eps: Rat) -> Optional[Enclosure]:
         """Interval division of the closed box's sides (Moore 1966), when
-        the x2-side excludes 0.  Written as X/Y with Y > 0, the greatest
-        quotient is X+/Y- if X+ >= 0, else X+/Y+, and the least is X-/Y+ if
-        X- >= 0, else X-/Y-.  x1/x2 is strictly monotone in x1 there, so
-        neither end is reached inside the open box."""
-        (p1, q1), (p2, q2) = a[0].as_integer_ratio(), a[1].as_integer_ratio()
-        M = m + 1
-        if M * abs(p2) <= q2:
+        the x2-side excludes 0: maximal division's corner range,
+        `_quotient_range`, whose least and greatest corner quotients are the
+        ends.  x1/x2 is strictly monotone in x1 there, so neither end is
+        reached inside the open box."""
+        if (ends := _quotient_range(a, m)) is None:
             return None
-        if p2 < 0:  # x1/x2 = (-x1)/|x2|
-            p1, p2 = -p1, -p2
-        # sides (M p1 +- q1)/(M q1) and (M p2 +- q2)/(M q2), quotients over M q1 q2
-        x_lo, x_hi = (M * p1 - q1) * q2, (M * p1 + q1) * q2
-        y_lo, y_hi = (M * p2 - q2) * q1, (M * p2 + q2) * q1
-        return Enclosure((x_lo, y_hi if x_lo >= 0 else y_lo),
-                         (x_hi, y_lo if x_hi >= 0 else y_hi), True, True)
+        x_lo, y_lo, x_hi, y_hi = ends
+        return tuple.__new__(Enclosure, ((x_lo, y_lo), (x_hi, y_hi), True, True))
 
 
 class _SquareOracle(RefOracle):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from approxsys import verify
-from approxsys.core import DecidableSystem, Membership, Quadruple
+from approxsys.core import DecidableSystem, Membership, Quadruple, decode_quadruple
 from approxsys.errors import DimensionError, DomainError
 from approxsys.systems import (
     atom,
@@ -402,6 +402,80 @@ def test_division_and_square_prove_every_default_member():
         assert v.to_json() == verify_condition1(system, _plain(oracle)).to_json()
 
 
+def _oracle_proves(oracle, q):
+    """Whether the exact oracle's enclosure of q's ball lies in
+    [b - 1/(n+1), b + 1/(n+1)], touching it only at ends reached on the
+    boundary alone: q is sound by the oracle's own proof."""
+    box = oracle.enclose(q.a, q.m, F(0))
+    pb, qb = q.b.as_integer_ratio()
+    return box is not None and verify._proves(box, pb, qb, q.n + 1, 0, 1)
+
+
+@pytest.mark.parametrize("system, oracle", [
+    (maximal_division_system, division_oracle),
+    (squaring_system, squaring_oracle),
+], ids=["maximal-division", "square"])
+def test_maximal_systems_accept_exactly_the_balls_their_oracle_proves(system, oracle):
+    # maximal division and square are the largest sound systems for their
+    # functions: a quadruple is a member iff the exact range proves it
+    system, oracle = system(), oracle()
+    for k in range(2 * 10**4):
+        q = decode_quadruple(k, system.dim_in)
+        assert system.decide(q) == _oracle_proves(oracle, q), q
+
+
+_EDGE_PRECISION = st.integers(min_value=0, max_value=60)
+
+
+def _one_from_an_end(draw, ends, n):
+    """A b exactly 1/(n+1) below or above the least or the greatest end."""
+    return draw(st.sampled_from((min(ends), max(ends)))) + draw(st.sampled_from((1, -1))) * F(1, n + 1)
+
+
+@st.composite
+def _quotient_edge_quads(draw):
+    """Maximal-division quadruples, often on the edges of its test: a2 of
+    either sign with (m+1)|a2| = 1, and b exactly 1/(n+1) from an end of
+    the range."""
+    m, n = draw(_EDGE_PRECISION), draw(_EDGE_PRECISION)
+    a1 = draw(_CENTER)
+    a2 = draw(st.one_of(_CENTER, st.sampled_from((1, -1)).map(lambda s: F(s, m + 1))))
+    b = draw(_CENTER)
+    if (m + 1) * abs(a2) > 1 and draw(st.booleans()):
+        b = _one_from_an_end(draw, corners((a1, a2), m), n)
+    return Quadruple((a1, a2), m, b, n)
+
+
+@st.composite
+def _square_edge_quads(draw):
+    """Square quadruples, often on the edges of its test: |a| = 1/(m+1),
+    where the closed interval ends at 0, and b exactly 1/(n+1) from an end
+    of the range, which is 0 when the interval holds 0 strictly."""
+    m, n = draw(_EDGE_PRECISION), draw(_EDGE_PRECISION)
+    r = F(1, m + 1)
+    a = draw(st.one_of(_CENTER, st.sampled_from((r, -r))))
+    b = draw(_CENTER)
+    if draw(st.booleans()):
+        b = _one_from_an_end(draw, [(a - r) ** 2, (a + r) ** 2] + [F(0)] * (abs(a) < r), n)
+    return Quadruple((a,), m, b, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quotient_edge_quads())
+@example(Quadruple((F(0), F(1)), 1, F(0), 0))  # both ends touch the bound
+@example(Quadruple((F(1), F(-1, 3)), 2, F(-3), 0))  # the closed x2-side ends at 0
+def test_maximal_division_accepts_exactly_the_edge_balls_its_oracle_proves(q):
+    assert maximal_division_system().decide(q) == _oracle_proves(division_oracle(), q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_edge_quads())
+@example(Quadruple((F(0),), 0, F(1, 2), 1))  # 0, reached inside, touches b - 1/2
+@example(Quadruple((F(1, 2),), 1, F(1, 2), 1))  # [0, 1] touches b +- 1/2 at its ends
+def test_square_accepts_exactly_the_edge_balls_its_oracle_proves(q):
+    assert squaring_system().decide(q) == _oracle_proves(squaring_oracle(), q)
+
+
 _BALL_CENTER = st.fractions(min_value=-30, max_value=30, max_denominator=10**6)
 _CLOSED_UNIT = st.fractions(min_value=-1, max_value=1, max_denominator=10**6)
 
@@ -449,6 +523,19 @@ def test_cosine_enclosure_reaches_the_extremes_at_multiples_of_pi(a, m, lo, hi):
     ends = [cos_taylor(abs(a) - r, eps), cos_taylor(abs(a) + r, eps)]
     assert _end(box.lo) == (min(ends) if lo is None else lo) - 2 * eps
     assert _end(box.hi) == (max(ends) if hi is None else hi) + 2 * eps
+
+
+@pytest.mark.parametrize("a", [F(10**40, 7), F(-10**40, 7), F(10**60, 7), F(-10**60, 7)])
+def test_cosine_enclosure_is_both_extremes_where_pi_bounds_cannot_part_the_multiples(a, monkeypatch):
+    # at |a| near 10^40 the 128-bit pi bounds leave an even and an odd
+    # multiple of pi possible inside the ball: the range is [-1, 1] widened
+    # by 2 eps, and no end value is summed
+    def no_sum(*args):
+        raise AssertionError("no Taylor sum is needed")
+
+    monkeypatch.setattr(verify, "_cos_sum", no_sum)
+    box = cosine_oracle().enclose((a,), 0, F(1, 10**4))
+    assert box == verify.Enclosure((-10002, 10000), (10002, 10000), False, False)
 
 
 def test_pi_bounds_bracket_pi():
