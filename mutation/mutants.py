@@ -24,6 +24,8 @@ class Mutant(NamedTuple):
 SYSTEMS = "src/approxsys/systems.py"
 VERIFY = "src/approxsys/verify.py"
 CORE = "src/approxsys/core.py"
+EVALUATE = "src/approxsys/evaluate.py"
+NAMES = "src/approxsys/names.py"
 
 MUTANTS = (
     # --- the quotient range, shared by maximal division and the division oracle
@@ -127,5 +129,56 @@ MUTANTS = (
         "return Enclosure((0, 1), (high, D), False, True)",
         "return Enclosure((0, 1), (high, D), True, True)",
         ("tests/test_verify.py",),
+    ),
+    # --- the squaring formula
+    Mutant(
+        "square formula: b - v may touch 0 when 0 is inside the ball",
+        SYSTEMS,
+        'atom(">", (1, V), (-1, B)),',
+        'atom(">=", (1, V), (-1, B)),',
+        ("tests/test_square_formula.py",),
+    ),
+    Mutant(
+        "square formula: the end square (a+u)^2 no longer bounds the lower end",
+        SYSTEMS,
+        'atom(">=", (1, AA), (2, AU), (1, UU), (-1, B), (1, V)),',
+        "",
+        ("tests/test_square_formula.py",),
+    ),
+    Mutant(
+        "square formula: 0 on the edge of the ball falls in neither case",
+        SYSTEMS,
+        'atom(">=", (1, AA), (-1, UU)),',
+        'atom(">", (1, AA), (-1, UU)),',
+        ("tests/test_square_formula.py",),
+    ),
+    # --- names and evaluation
+    Mutant(
+        "cauchy_to_ordinary: one index less than the least with 2^-i < 1/(n+1)",
+        NAMES,
+        "h.approx((n + 1).bit_length())",
+        "h.approx(n.bit_length())",
+        ("tests/test_names.py",),
+    ),
+    Mutant(
+        "ordinary_to_cauchy: one index less than the least with 1/(j+1) <= (2/3) 2^-i",
+        NAMES,
+        "f.approx(((3 << i) - 1) // 2)",
+        "f.approx(((3 << i) - 1) // 2 - 1)",
+        ("tests/test_names.py",),
+    ),
+    Mutant(
+        "apply: the modulus asked at the first point only",
+        EVALUATE,
+        "_MODULUS_ASKS = 2",
+        "_MODULUS_ASKS = 1",
+        ("tests/test_evaluate.py",),
+    ),
+    Mutant(
+        "extracted system: the operator's value may lie 1/(n+1) from b",
+        EVALUATE,
+        "tol = Fraction(1, 2 * n + 2)",
+        "tol = Fraction(1, n + 1)",
+        ("tests/test_evaluate.py",),
     ),
 )

@@ -682,19 +682,18 @@ def squaring_formula() -> Tuple[Formula, int]:
     Over the closed ball [a-u, a+u] the square's range is an interval
     [lo, hi]: hi = max((a-u)^2, (a+u)^2) is always attained, and is covered
     by requiring both b + v >= (a+u)^2 and b + v >= (a-u)^2.  The infimum
-    splits three ways:
+    splits two ways, as in _square_modulus:
 
-      * 0 interior to the ball (u - a > 0 and u + a > 0): lo = 0, attained,
-        but the *open* ball never attains its sup, so strict b - v < 0 i.e.
+      * 0 interior to the ball (u^2 - a^2 > 0): lo = 0, attained, but the
+        *open* ball never attains its sup, so strict b - v < 0 i.e.
         v - b > 0 suffices;
-      * 0 <= a - u: lo = (a-u)^2, so require (a-u)^2 - b + v >= 0;
-      * a + u <= 0: lo = (a+u)^2, so require (a+u)^2 - b + v >= 0.
+      * 0 outside or on the edge (a^2 - u^2 >= 0): lo is the lesser end
+        square, so require both (a-u)^2 - b + v >= 0 and
+        (a+u)^2 - b + v >= 0.
 
     All coefficients are integers; variable order (a, b, u, v).
     """
-    A = (1, 0, 0, 0)
     B = (0, 1, 0, 0)
-    U = (0, 0, 1, 0)
     V = (0, 0, 0, 1)
     AA = (2, 0, 0, 0)
     AU = (1, 0, 1, 0)
@@ -703,19 +702,15 @@ def squaring_formula() -> Tuple[Formula, int]:
     upper_plus = atom(">=", (1, B), (1, V), (-1, AA), (-2, AU), (-1, UU))
     upper_minus = atom(">=", (1, B), (1, V), (-1, AA), (2, AU), (-1, UU))
     zero_inside = FAnd((
-        atom(">", (1, U), (-1, A)),
-        atom(">", (1, U), (1, A)),
+        atom(">", (1, UU), (-1, AA)),
         atom(">", (1, V), (-1, B)),
     ))
-    right_of_zero = FAnd((
-        atom(">=", (1, A), (-1, U)),
+    zero_outside = FAnd((
+        atom(">=", (1, AA), (-1, UU)),
         atom(">=", (1, AA), (-2, AU), (1, UU), (-1, B), (1, V)),
-    ))
-    left_of_zero = FAnd((
-        atom(">=", (-1, A), (-1, U)),
         atom(">=", (1, AA), (2, AU), (1, UU), (-1, B), (1, V)),
     ))
-    formula = FAnd((upper_plus, upper_minus, FOr((zero_inside, right_of_zero, left_of_zero))))
+    formula = FAnd((upper_plus, upper_minus, FOr((zero_inside, zero_outside))))
     return formula, 1
 
 

@@ -118,6 +118,21 @@ def test_timeout_when_no_member_exists():
     assert "10000" in str(info.value)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("make_name", [
+    edge_ordinary_name,
+    lambda point: cauchy_to_ordinary(edge_cauchy_name(point)),
+], ids=["ordinary-edge", "cauchy-edge"])
+def test_division_by_zero_on_an_edge_name_times_out(make_name, n):
+    # the modulus is asked at two points only: asked at every point it reads
+    # up these names, it would send apply to ever finer indices and ever
+    # longer points, whatever the budget
+    budget = default_budget_schedule(n)
+    with pytest.raises(SearchTimeout) as info:
+        apply(division_system(), make_name((F(1), F(0))), n, budget)
+    assert info.value.budget == budget
+
+
 def test_division_random_points_inside_tolerance():
     rng = random.Random(1)
     for _ in range(100):
@@ -531,6 +546,18 @@ def test_operator_system_membership_boundary():
     assert ext.membership(Quadruple((F(1), F(2)), 0, F(1, 2), 0), 50) is Membership.NOT_YET
     # b too far from every certifiable value
     assert ext.membership(Quadruple((F(1), F(2)), 7, F(2), 0), 60) is Membership.NOT_YET
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_operator_system_accepts_b_strictly_within_half_the_radius(n):
+    # budget 1 tries the ramp alone, whose value is the quotient 1/2: the
+    # other half of 1/(n+1) is the operator's own error
+    ext = system_from_operator(operator_from_system(division_system()), 2)
+    half = F(1, 2 * n + 2)
+    for b, verdict in ((F(1, 2) + half, Membership.NOT_YET),
+                       (F(1, 2) - half, Membership.NOT_YET),
+                       (F(1, 2) + half * F(999, 1000), Membership.YES)):
+        assert ext.membership(Quadruple((F(1), F(2)), 4 * n + 7, b, n), 1) is verdict
 
 
 def test_operator_system_enumerate_spot():

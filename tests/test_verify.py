@@ -544,6 +544,15 @@ def test_pi_bounds_bracket_pi():
     with mpmath.workprec(400):
         pi = mpmath.pi * 2 ** verify._PI_BITS
         assert lo < pi < hi
+    assert (lo, hi) == verify._pi_bounds(verify._PI_BITS)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 64, 128, 256, 512])
+def test_pi_bounds_bracket_pi_at_every_precision(bits):
+    lo, hi = verify._pi_bounds(bits)
+    assert 0 < hi - lo <= 16
+    with mpmath.workprec(bits + 128):
+        assert lo < mpmath.pi * 2 ** bits < hi
 
 
 def _counting(oracle):
