@@ -3,9 +3,11 @@
     python mutation/run.py
 
 Copies src/, tests/ and pyproject.toml to a temporary directory, checks that
-the unmutated copy passes every test file the table names, then applies one
-mutant at a time and runs its test files with `pytest -x`, one subprocess at
-a time.  A mutant is killed when its tests fail or run past TIMEOUT seconds.
+the unmutated copy passes every test the table names, then applies one
+mutant at a time and runs its tests with `pytest -x`, one subprocess at a
+time.  A mutant is killed when its tests fail or run past TIMEOUT seconds.
+Hypothesis runs under the "mutation" profile of tests/conftest.py, which
+stops at the first failing example without shrinking it.
 
 Prints one line per mutant.  Exit status: 0 when every mutant is killed, 1
 when one survives, when a snippet does not occur exactly once, or when the
@@ -34,7 +36,7 @@ def _pytest(copy: Path, tests) -> int | None:
     """pytest's exit status on `tests` in `copy`, or None past TIMEOUT."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", *tests]
+           "--hypothesis-seed=0", "--hypothesis-profile=mutation", *tests]
     try:
         return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode

@@ -11,11 +11,11 @@ target value".  Two semantic conditions make S useful:
 This module fixes the computational interface only: systems expose a total
 `enumerate` (k-th candidate or None) and a budgeted semi-decision
 `membership`.  Three hints follow one rule, None or a function: `decide`,
-an exact membership test; `witness`, a b for (a, m, n) for the
-evaluator's fast path; and `modulus`, the input index m at which that
-witness certifies at a.  Decidable systems may also state a `screen` for
-their prefix scan: two keys, one of the point and one of the tail
-(m, b, n), that are equal whenever decide accepts, so the scan decides
+an exact membership test; `witness`, a b for (a, m, n) for the evaluator's
+fast path; and `modulus`, an input index m at which that witness certifies
+at a (the least for division and square).  Decidable systems may also
+state a `screen` for their prefix scan: two keys, one of the point and one
+of the tail (m, b, n), equal whenever decide accepts, so the scan decides
 only the codes whose keys match.
 """
 
@@ -32,6 +32,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import at_least, positive_dim, same_dim
 from .numerics import (
+    _DECODE_CACHE,
     Point,
     Rat,
     cantor_join,
@@ -84,14 +85,14 @@ def decode_quadruple(k: int, dim: int) -> Quadruple:
     return Quadruple(decode_point(i, dim), *_decode_tail(rest))
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=_DECODE_CACHE)
 def _decode_tail(rest: int) -> Tuple[int, Rat, int]:
     """(m, b, n) from the tail C(m, C(j, n)) of a quadruple code.
 
-    Memoised like decode_point, for decode_quadruple's random access
-    (enumerate(k)): the tail code grows only like the square root of the
-    quadruple code (about 460 distinct tails among the first 10^5 codes).
-    Prefix scans instead decode each tail once per diagonal (_walk).
+    Memoised like decode_point, with the same bound, and hit in the same
+    place: _walk decoding a diagonal again when a request resumes.  The
+    tail code grows only like the square root of the quadruple code (about
+    460 distinct tails among the first 10^5 codes).
     """
     m, rest = cantor_split(rest)
     j, n = cantor_split(rest)
@@ -118,11 +119,11 @@ class ApproxSystem:
     stays None for systems that are only enumerable; when set, membership
     is exact and independent of budget.  witness(a, m, n) is a b likely to
     make (a, m, b, n) a member, or None; `apply` tries it first.
-    modulus(a, n) is the least input index m at which `witness` certifies
-    at the point a (None: no rule there), and modulus(None, n) the index
-    to read first, before any point is known.  witness and modulus are
-    never trusted: the evaluator certifies through membership whatever
-    they name.
+    modulus(a, n) is an input index m at which `witness` certifies at the
+    point a (None: no rule there), the least one for division and square,
+    and modulus(None, n) the index to read first, before any point is
+    known.  witness and modulus are never trusted: the evaluator certifies
+    through membership whatever they name.
     """
 
     dim_in: int

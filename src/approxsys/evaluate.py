@@ -13,11 +13,11 @@ no further trust in the search order, which has two phases:
 
   phase A  witnesses: read the name at the system's start index
            (modulus(None, n); n for a system without a modulus, 2n+1 for
-           cosine), and at each of the first two points read ask the
-           modulus for the least index m at which the witness certifies
-           there; when m is finer than the index read, read again at m
-           itself, with no cap.  Division, square and cosine state a
-           modulus; maximal division, formula systems built without one and
+           cosine), and at each of the first two points read ask the modulus
+           for an index m at which the witness certifies there (the least for
+           division and square); when m is finer than the index read, read
+           again at m itself, with no cap.  Division, square and cosine state
+           a modulus; maximal division, formula systems built without one and
            extracted systems do not.  Then ask the system for a candidate b
            and certify it (the exact quotient for division, the simplest
            dyadic near a Taylor midpoint for cosine, a cell of the b-line

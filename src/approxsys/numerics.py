@@ -150,11 +150,11 @@ def encode_rat(x: Rat) -> int:
     return encode_tuple((max(p, 0), max(-p, 0), q - 1))
 
 
-# Decoded values are immutable, and decode_quadruple's random access decodes
-# the same few point codes over and over, as the evaluator's phase B does
-# rational codes, so both decoders are memoised, boundedly.  A prefix scan
-# decodes each point code once per Cantor diagonal (DecidableSystem._walk),
-# about 460 of them for the first 10^4 division members.
+# Decoded values are immutable, so the decoders are memoised, boundedly, as
+# is core._decode_tail.  A prefix scan (DecidableSystem._walk) decodes each
+# code once per Cantor diagonal, and its first diagonal again whenever a
+# request resumes: all the 245 hits of decode_point's 1,440 calls in one
+# enumerate-audit pass (seed 1).  apply's phase B repeats rational codes.
 _DECODE_CACHE = 1 << 12
 
 

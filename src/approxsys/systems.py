@@ -684,14 +684,14 @@ def squaring_formula() -> Tuple[Formula, int]:
     by requiring both b + v >= (a+u)^2 and b + v >= (a-u)^2.  The infimum
     splits two ways, as in _square_modulus:
 
-      * 0 interior to the ball (u^2 - a^2 > 0): lo = 0, attained, but the
-        *open* ball never attains its sup, so strict b - v < 0 i.e.
-        v - b > 0 suffices;
       * 0 outside or on the edge (a^2 - u^2 >= 0): lo is the lesser end
         square, so require both (a-u)^2 - b + v >= 0 and
-        (a+u)^2 - b + v >= 0.
+        (a+u)^2 - b + v >= 0;
+      * else lo = 0, attained, but the *open* ball never attains its sup,
+        so strict v - b > 0 suffices, with no test of u^2 - a^2 > 0: where
+        0 is outside, b - v < 0 <= (a -+ u)^2 and the first case holds.
 
-    All coefficients are integers; variable order (a, b, u, v).
+    Six atoms, all integer; variable order (a, b, u, v).
     """
     B = (0, 1, 0, 0)
     V = (0, 0, 0, 1)
@@ -701,10 +701,7 @@ def squaring_formula() -> Tuple[Formula, int]:
 
     upper_plus = atom(">=", (1, B), (1, V), (-1, AA), (-2, AU), (-1, UU))
     upper_minus = atom(">=", (1, B), (1, V), (-1, AA), (2, AU), (-1, UU))
-    zero_inside = FAnd((
-        atom(">", (1, UU), (-1, AA)),
-        atom(">", (1, V), (-1, B)),
-    ))
+    zero_inside = atom(">", (1, V), (-1, B))
     zero_outside = FAnd((
         atom(">=", (1, AA), (-1, UU)),
         atom(">=", (1, AA), (-2, AU), (1, UU), (-1, B), (1, V)),

@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from approxsys.core import ApproxSystem
 from approxsys.names import CauchyName, OrdinaryName
 from approxsys.systems import division_system
+
+# mutation/run.py runs its tests under this profile: the first failing
+# example kills a mutant, so failing examples are neither shrunk nor stored.
+settings.register_profile("mutation", phases=(Phase.explicit, Phase.generate), database=None)
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail record survives output capturing.

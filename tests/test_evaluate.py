@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +71,41 @@ def test_cosine_witness_path_frozen():
 
     for n in (0, 1, 9, 99):
         assert apply(cosine_system(), name_of_point((F(0),)), n, 1) == EvalResult(F(1), n, 1)
+
+
+# Every built-in on three name kinds, each point at n in {0, 9, 99}, under
+# FROZEN_BUDGET probes: the constant name, the truncation name and the
+# Cauchy round trip of the truncation name.  Division at (1, 0) times out.
+FROZEN_NAMES = {
+    "constant": name_of_point,
+    "dyadic": dyadic_name,
+    "cauchy": lambda p: cauchy_to_ordinary(ordinary_to_cauchy(dyadic_name(p))),
+}
+FROZEN_POINTS = {
+    division_system: [(F(1), F(3)), (F(-5, 7), F(1, 20)), (F(1), F(0))],
+    maximal_division_system: [(F(1), F(3)), (F(-5, 7), F(2, 9))],
+    cosine_system: [(F(1),), (F(-24, 7),)],
+    squaring_system: [(F(3, 2),), (F(-1, 3),), (F(2),)],
+}
+FROZEN_BUDGET = 300
+FROZEN_DIGEST = "aae885d95b30e957a7b36923f367ee60739f480b89f2060eabab62b1c242dd70"
+
+
+def test_apply_results_and_probe_counts_frozen():
+    # one record (system, name kind, point, n, value or "timeout",
+    # search_steps) per apply; values in hex, as some run to 10^5 digits
+    records = []
+    for ctor, points in FROZEN_POINTS.items():
+        system = ctor()
+        for kind, make in FROZEN_NAMES.items():
+            for p, n in product(points, (0, 9, 99)):
+                try:
+                    res = apply(system, make(p), n, FROZEN_BUDGET)
+                    out = (f"{res.value.numerator:x}/{res.value.denominator:x}", res.search_steps)
+                except SearchTimeout:
+                    out = ("timeout", FROZEN_BUDGET)
+                records.append([system.name, kind, [str(c) for c in p], n, *out])
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == FROZEN_DIGEST
 
 
 def test_apply_checks_dimension():

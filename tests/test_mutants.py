@@ -17,9 +17,13 @@ _spec.loader.exec_module(mutants)
 def test_mutant_snippet_occurs_exactly_once(mutant):
     assert (ROOT / mutant.file).read_text().count(mutant.snippet) == 1
     assert mutant.replacement != mutant.snippet
-    assert mutant.tests and all((ROOT / t).is_file() for t in mutant.tests)
+    assert mutant.tests
+    for test in mutant.tests:
+        path, _, name = test.partition("::")
+        assert (ROOT / path).is_file()
+        assert not name or f"\ndef {name}(" in (ROOT / path).read_text(), test
 
 
 def test_mutant_names_are_distinct():
     names = [m.name for m in mutants.MUTANTS]
-    assert len(set(names)) == len(names) >= 12
+    assert len(set(names)) == len(names) >= 30

@@ -2,18 +2,21 @@
 
 The reference below splits the lower end of the square's range three ways:
 0 inside the ball, the ball right of 0, the ball left of 0.  The shipped
-formula states the same range in two cases, so both must accept the same
-quadruples, put their roots in b at the same places and so return the same
-witnesses.
+formula states the same range in two cases, in six atoms, so both must
+accept the same quadruples, put their roots in b at the same places and so
+return the same witnesses.  Each of the six atoms is needed: without it,
+decide changes on some quadruple.
 """
 
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from approxsys.core import Quadruple
 from approxsys.systems import (
+    Atom,
     FAnd,
     FOr,
     _truth,
@@ -74,11 +77,46 @@ def assert_same(a, m, b, n):
     assert SHIPPED.decide(q) == REFERENCE.decide(q), q
 
 
-def test_the_lower_end_has_two_cases_in_seven_atoms():
+def without_atom(formula, i):
+    """The formula with its i-th atom, left to right, replaced by true (an
+    empty conjunction)."""
+    seen = []
+
+    def walk(node):
+        if isinstance(node, Atom):
+            seen.append(node)
+            return FAnd(()) if len(seen) == i + 1 else node
+        return type(node)(tuple(map(walk, node.args)))
+
+    return walk(formula)
+
+
+def test_the_lower_end_has_two_cases_in_six_atoms():
     formula, nvars = squaring_formula()
     assert nvars == 1
-    assert atoms(formula) == 7 and atoms(reference_formula()) == 9
+    assert atoms(formula) == 6 and atoms(reference_formula()) == 9
     assert len(formula.args[2].args) == 2
+
+
+# per atom of squaring_formula(), in order, a quadruple (a, m, b, n) that the
+# formula rejects and accepts once that atom is dropped
+NEEDS = [
+    (F(1), 0, F(0), 0),  # b + v >= (a+u)^2
+    (F(-1), 0, F(0), 0),  # b + v >= (a-u)^2
+    (F(0), 0, F(1), 0),  # v - b > 0
+    (F(0), 0, F(1), 0),  # a^2 - u^2 >= 0
+    (F(1), 0, F(3), 0),  # (a-u)^2 - b + v >= 0
+    (F(-1), 0, F(3), 0),  # (a+u)^2 - b + v >= 0
+]
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_every_atom_is_needed(i):
+    formula = squaring_formula()[0]
+    dropped = semialgebraic_system(without_atom(formula, i), 1)
+    a, m, b, n = NEEDS[i]
+    q = Quadruple((a,), m, b, n)
+    assert not SHIPPED.decide(q) and dropped.decide(q)
 
 
 @settings(max_examples=500, deadline=None)

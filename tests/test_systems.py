@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from approxsys import systems
 from approxsys.core import Membership, Quadruple, decode_quadruple
 from approxsys.errors import DimensionError, FormatError
 from approxsys.evaluate import apply
@@ -330,8 +331,26 @@ def test_cosine_frozen_memberships():
     assert not decide(Quadruple((F(2),), 1, F(0), 1))
 
 
-def test_cosine_rejects_negative_gap():
-    assert not cosine_system().decide(Quadruple((F(1),), 2, F(1, 2), 9))
+def test_cosine_accepts_where_the_bound_equals_the_slack(monkeypatch):
+    # at a = 0, e_k = 0 from k = 1 on, so F_k = g is settled only by the
+    # accept rule's equality; a strict rule would scan until the cap
+    monkeypatch.setattr(systems, "_COSINE_SCAN_CAP", 2)
+    decide = cosine_system().decide
+    assert decide(Quadruple((F(0),), 5, F(1), 5))  # F_1 = g = 0
+    assert decide(Quadruple((F(0),), 3, F(1, 4), 0))  # F_0 = F_1 = g = 3/4
+
+
+def no_taylor_term(a, k):
+    raise AssertionError(f"Taylor term {k} at {a} computed")
+
+
+def test_cosine_rejects_negative_gap(monkeypatch):
+    # g < 0 rejects before the scan: without the guard the scan still
+    # rejects, after Taylor terms that cost more the larger a is
+    monkeypatch.setattr(systems, "sigma_k", no_taylor_term)
+    monkeypatch.setattr(systems, "_half_term", no_taylor_term)
+    for a in (F(1), F(10**6)):
+        assert not cosine_system().decide(Quadruple((a,), 2, F(1, 2), 9))
 
 
 def test_cosine_witness_certifies():
@@ -341,9 +360,18 @@ def test_cosine_witness_certifies():
             w = sys.witness((a,), m, n)
             assert w is not None
             assert sys.decide(Quadruple((a,), m, w, n))
-    assert sys.witness((F(1),), 3, 9) is None  # g < 0
-    assert sys.witness((F(0),), 5, 5) == F(1)  # g = 0 at a = 0
-    assert sys.witness((F(1),), 5, 5) is None  # g = 0 elsewhere
+
+
+def test_cosine_witness_without_slack_takes_no_taylor_term(monkeypatch):
+    # g <= 0: 1 where g = 0 at a = 0, else None, with no scan, which would
+    # not end (e_k >= g for every k)
+    monkeypatch.setattr(systems, "sigma_k", no_taylor_term)
+    monkeypatch.setattr(systems, "_half_term", no_taylor_term)
+    witness = cosine_system().witness
+    assert witness((F(1),), 3, 9) is None  # g < 0
+    assert witness((F(0),), 3, 9) is None  # g < 0 at a = 0
+    assert witness((F(0),), 5, 5) == F(1)  # g = 0 at a = 0
+    assert witness((F(1),), 5, 5) is None  # g = 0 elsewhere
 
 
 def simplest_dyadic_reference(lo, hi):
