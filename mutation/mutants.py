@@ -276,6 +276,20 @@ MUTANTS = (
             "tests/test_verify.py::test_default_cosine_audit_proves_every_ball_without_an_oracle_call",
         ),
     ),
+    Mutant(
+        "condition 1: a sample in the margin band queried once more than _REFINE_ROUNDS times",
+        VERIFY,
+        "while side == 0 and rounds < _REFINE_ROUNDS:",
+        "while side == 0 and rounds <= _REFINE_ROUNDS:",
+        ("tests/test_verify.py::test_condition1_refines_margin_straddles",),
+    ),
+    Mutant(
+        "condition 1: a sample below the band at its first query counted as refined",
+        VERIFY,
+        "refined += side < 0 < rounds",
+        "refined += side < 0",
+        ("tests/test_verify.py::test_condition1_refines_margin_straddles",),
+    ),
     # --- the square oracle
     Mutant(
         "square oracle: 0 inside the interval flagged as reached on the boundary",
@@ -359,6 +373,35 @@ MUTANTS = (
         "i, r = t, 0",
         "i, r = t, 1",
         ("tests/test_core.py::test_members_prefix_honours_scan_cap_on_warm_cache",),
+    ),
+    Mutant(
+        "walk: the kept lists grow by one entry at most per diagonal",
+        CORE,
+        "while len(points) <= t:",
+        "if len(points) <= t:",
+        ("tests/test_core.py::test_walk_equals_enumerate_from_any_start",),
+    ),
+    Mutant(
+        "walk: the kept lists stop one entry short of the diagonal",
+        CORE,
+        "while len(points) <= t:",
+        "while len(points) < t:",
+        ("tests/test_core.py::test_members_prefix_equals_reference_scan",),
+    ),
+    Mutant(
+        "walk: the point key appended before the tail key is computed",
+        CORE,
+        "pkey, tkey = point_key(point), tail_key(m, b, n)\n                    pkeys.append(pkey)",
+        "pkeys.append(point_key(point))\n                    tkey = tail_key(m, b, n)",
+        ("tests/test_core.py::test_a_screen_key_that_raises_leaves_the_scan_aligned",),
+    ),
+    # --- the formula evaluator
+    Mutant(
+        "formula: every power up to each variable's top exponent raised",
+        SYSTEMS,
+        "pairs = sorted({(x, e[i]) for at in atoms for _, e in at.poly for x, i in enumerate(others)})",
+        "pairs = [(x, e) for x, t in enumerate(top) for e in range(t + 1)]",
+        ("tests/test_systems.py::test_a_high_power_costs_only_the_powers_the_formula_uses",),
     ),
     # --- names and evaluation
     Mutant(

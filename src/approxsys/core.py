@@ -25,14 +25,13 @@ import threading
 from array import array
 from bisect import bisect_left
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress, islice
 from operator import eq, itemgetter
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import at_least, positive_dim, same_dim
 from .numerics import (
-    _DECODE_CACHE,
     Point,
     Rat,
     cantor_join,
@@ -85,15 +84,8 @@ def decode_quadruple(k: int, dim: int) -> Quadruple:
     return Quadruple(decode_point(i, dim), *_decode_tail(rest))
 
 
-@lru_cache(maxsize=_DECODE_CACHE)
 def _decode_tail(rest: int) -> Tuple[int, Rat, int]:
-    """(m, b, n) from the tail C(m, C(j, n)) of a quadruple code.
-
-    Memoised like decode_point, with the same bound, and hit in the same
-    place: _walk decoding a diagonal again when a request resumes.  The
-    tail code grows only like the square root of the quadruple code (about
-    460 distinct tails among the first 10^5 codes).
-    """
+    """(m, b, n) from the tail C(m, C(j, n)) of a quadruple code."""
     m, rest = cantor_split(rest)
     j, n = cantor_split(rest)
     return m, decode_rat(j), n
@@ -244,6 +236,10 @@ class DecidableSystem(ApproxSystem):
         self.name = name
         self.modulus = modulus
         self.screen = screen
+        # entry j of each list: point j, tail j's m, b and n, and their keys
+        # with a screen; _walk grows them one diagonal at a time
+        self._points, self._ms, self._bs, self._ns = [], [], [], []
+        self._pkeys, self._tkeys = [], []
 
         def checked(q: Quadruple) -> bool:
             if len(q.a) != dim:
@@ -268,35 +264,47 @@ class DecidableSystem(ApproxSystem):
         """ApproxSystem._walk's pairs, one Cantor diagonal at a time.
 
         Code k = C(i, r) lies on diagonal t = i + r at position r, and the
-        diagonal pairs point codes t..0 with tails 0..t.  So each diagonal
-        decodes one new point and one new tail into growing lists, and
-        builds the quadruples of its codes below stop from their entries as
-        one list `quads`.  compress keeps the members by map(decide, quads):
-        decide is looked up once, here, as the bare predicate (every point
-        decoded has dimension dim_in) unless the instance's `decide` was
-        replaced (a tracer, say), and called once per quadruple built, in
-        code order, and never past the member the caller stops at.
+        diagonal pairs point codes t..0 with tails 0..t.  Entry j of the
+        instance's lists is point j and tail j, decoded once per system:
+        a diagonal not reached by any earlier walk appends one entry, after
+        computing its screen keys, so a key that raises leaves the lists
+        as they were; a resumed request decodes nothing again.  Each
+        diagonal builds the quadruples of its codes below stop from the
+        entries as one list `quads`.  compress keeps the members by
+        map(decide, quads): decide is looked up once, here, as the bare
+        predicate (every point decoded has dimension dim_in) unless the
+        instance's `decide` was replaced (a tracer, say), and called once
+        per quadruple built, in code order, and never past the member the
+        caller stops at.
 
         Without a screen, a diagonal's quadruples are built in one C-level
-        pass, one per code.  With a screen, each point's and each tail's key
-        is computed when it is decoded; a diagonal first compares its keys
-        in C to find the positions where they are equal, and builds
+        pass, one per code.  With a screen, a diagonal first compares its
+        keys in C to find the positions where they are equal, and builds
         quadruples only there, one Python step per match; decide never
         accepts the other codes, which cost no Python work.
         """
         decide = self._bare if self.decide is self._checked else self.decide
         dim, screen = self.dim_in, self.screen
+        points, ms, bs, ns = self._points, self._ms, self._bs, self._ns
+        pkeys, tkeys = self._pkeys, self._tkeys
+        if screen is not None:
+            point_key, tail_key = screen
         make = partial(tuple.__new__, Quadruple)
         i, r = cantor_split(start)
         t = i + r
-        points = [decode_point(j, dim) for j in range(t + 1)]
-        ms, bs, ns = map(list, zip(*map(_decode_tail, range(t + 1))))
-        if screen is not None:
-            point_key, tail_key = screen
-            pkeys = list(map(point_key, points))
-            tkeys = list(map(tail_key, ms, bs, ns))
         k = start
         while k < stop:
+            while len(points) <= t:
+                j = len(points)
+                point, (m, b, n) = decode_point(j, dim), _decode_tail(j)
+                if screen is not None:
+                    pkey, tkey = point_key(point), tail_key(m, b, n)
+                    pkeys.append(pkey)
+                    tkeys.append(tkey)
+                points.append(point)
+                ms.append(m)
+                bs.append(b)
+                ns.append(n)
             # codes k..end-1 sit at positions r..last-1 of diagonal t
             end = min(stop, k + t + 1 - r)
             last = r + end - k
@@ -312,14 +320,6 @@ class DecidableSystem(ApproxSystem):
             k = end
             t += 1
             i, r = t, 0
-            points.append(decode_point(t, dim))
-            m, b, n = _decode_tail(t)
-            ms.append(m)
-            bs.append(b)
-            ns.append(n)
-            if screen is not None:
-                pkeys.append(point_key(points[t]))
-                tkeys.append(tail_key(m, b, n))
 
     def witness(self, a: Point, m: int, n: int) -> Optional[Rat]:
         self._check_dim(a)

@@ -150,15 +150,13 @@ def encode_rat(x: Rat) -> int:
     return encode_tuple((max(p, 0), max(-p, 0), q - 1))
 
 
-# Decoded values are immutable, so the decoders are memoised, boundedly, as
-# is core._decode_tail.  A prefix scan (DecidableSystem._walk) decodes each
-# code once per Cantor diagonal, and its first diagonal again whenever a
-# request resumes: all the 245 hits of decode_point's 1,440 calls in one
-# enumerate-audit pass (seed 1).  apply's phase B repeats rational codes.
-_DECODE_CACHE = 1 << 12
-
-
-@lru_cache(maxsize=_DECODE_CACHE)
+# Of the decoders only decode_rat is memoised, boundedly: the coordinates
+# of points and the b of tails are rational codes from one small range, so
+# the same codes recur across the points and tails a prefix scan decodes
+# (3,648 hits of 4,050 calls in one enumerate-audit pass, seed 1), and in
+# apply's phase B.  A scan decodes each point and each tail once per system
+# (DecidableSystem._walk), so their decoders keep no cache.
+@lru_cache(maxsize=1 << 12)
 def decode_rat(j: int) -> Rat:
     r, s, t = decode_tuple(j, 3)
     return Fraction(r - s, t + 1)
@@ -174,7 +172,6 @@ def encode_point(p: Point) -> int:
     return acc
 
 
-@lru_cache(maxsize=_DECODE_CACHE)
 def decode_point(code: int, dim: int) -> Point:
     positive_dim(dim)
     coords = []

@@ -369,6 +369,8 @@ def _compile(formula: Formula, dim: int):
     x's largest exponent in the formula:
     monomial coef * prod_x x^e adds coef * prod_x num(x)^e * den(x)^(top(x) - e)
     to c at b's exponent.  Scaling by D keeps every sign and every root in b.
+    Only the (x, e) pairs some monomial uses are raised, so the cost follows
+    the formula's powers, not every power below top(x).
     holds(rows, b), for rows = coefficients(a, m, n), is the formula's truth at b.
     FormatError, from _truth, on a malformed formula.
     """
@@ -377,14 +379,15 @@ def _compile(formula: Formula, dim: int):
     others = [i for i in range(dim + 3) if i != dim]
     top = [max((e[i] for at in atoms for _, e in at.poly), default=0) for i in others]
     deg = max([1, *(e[dim] for at in atoms for _, e in at.poly)])
-    # num(x)^e * den(x)^(top(x) - e) sits at offset(x) + e of one flat list
-    offsets = [sum(top[:k]) + k for k in range(len(top))]
-    monomials = [[(c, e[dim], [o + e[i] for o, i in zip(offsets, others)]) for c, e in at.poly]
+    # num(x)^e * den(x)^(top(x) - e) sits at index where[x, e] of one flat list
+    pairs = sorted({(x, e[i]) for at in atoms for _, e in at.poly for x, i in enumerate(others)})
+    where = {pair: j for j, pair in enumerate(pairs)}
+    monomials = [[(c, e[dim], [where[x, e[i]] for x, i in enumerate(others)]) for c, e in at.poly]
                  for at in atoms]
 
     def coefficients(a: Point, m: int, n: int) -> List[List[int]]:
         fracs = [x.as_integer_ratio() for x in a] + [(1, m + 1), (1, n + 1)]
-        pows = [num ** e * den ** (t - e) for (num, den), t in zip(fracs, top) for e in range(t + 1)]
+        pows = [fracs[x][0] ** e * fracs[x][1] ** (top[x] - e) for x, e in pairs]
         rows = []
         for monos in monomials:
             c = [0] * (deg + 1)

@@ -331,19 +331,6 @@ def _proves(box: Enclosure, pb: int, qb: int, N: int, en: int, ed: int) -> bool:
     return True
 
 
-def _refine(oracle: RefOracle, xi: Point, pb: int, qb: int, N: int, en: int, ed: int):
-    """Query a sample in the margin band again, each time with a thousandth
-    of the last eps, until it leaves the band or `_REFINE_ROUNDS` queries are
-    spent; returns its last `_side` and the value that decided it."""
-    for _ in range(_REFINE_ROUNDS):
-        ed *= _REFINE
-        approx = oracle.eval(xi, Fraction(en, ed))
-        side = _side(pb, qb, approx, N, en, ed)
-        if side:
-            break
-    return side, approx
-
-
 def _text(point: Point) -> str:
     return ",".join(map(str, point))
 
@@ -391,10 +378,13 @@ def verify_condition1(system: ApproxSystem, oracle: RefOracle,
             samples += 1
             approx = oracle.eval(xi, eps)
             side = _side(pb, qb, approx, N, en, ed)
-            if side == 0:
-                side, approx = _refine(oracle, xi, pb, qb, N, en, ed)
-                straddles += side == 0
-                refined += side < 0
+            rounds, qd = 0, ed
+            while side == 0 and rounds < _REFINE_ROUNDS:  # in the band: ask again at eps/1000
+                rounds, qd = rounds + 1, qd * _REFINE
+                approx = oracle.eval(xi, Fraction(en, qd))
+                side = _side(pb, qb, approx, N, en, qd)
+            straddles += side == 0
+            refined += side < 0 < rounds
             if side > 0:
                 witness = {"quad": quad.to_json_dict(), "xi": [str(c) for c in xi],
                            "oracle_value": str(approx), "distance": str(abs(quad.b - approx)),

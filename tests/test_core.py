@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from approxsys import core
 from approxsys.core import (
     ApproxSystem,
     DecidableSystem,
@@ -305,6 +307,44 @@ def test_members_prefix_decides_once_per_code_scanned():
     div.members_prefix(2 * 10**4, scan_cap)
     assert div._scanned == scan_cap
     assert seen == passed + _screened(div, start, scan_cap)
+
+
+def test_resumed_requests_decode_each_point_and_tail_once(monkeypatch):
+    # a request that resumes mid-diagonal finds the diagonal's entries kept
+    reference = division_system().members_prefix(300)
+    decoded = {"point": Counter(), "tail": Counter()}
+
+    def counting(kind, decode):
+        return lambda code, *rest: decoded[kind].update([code]) or decode(code, *rest)
+
+    monkeypatch.setattr(core, "decode_point", counting("point", core.decode_point))
+    monkeypatch.setattr(core, "_decode_tail", counting("tail", core._decode_tail))
+    div = division_system.__wrapped__()
+    for count in (100, 200, 300):
+        assert div.members_prefix(count) == reference[:count]
+    t = sum(cantor_split(div._scanned - 1))  # the last diagonal scanned
+    for kind in decoded:
+        assert decoded[kind] == Counter(range(t + 1)), kind
+
+
+@pytest.mark.parametrize("key", [0, 1], ids=["point-key", "tail-key"])
+def test_a_screen_key_that_raises_leaves_the_scan_aligned(key):
+    screen = division_system().screen
+    raising = {30}  # the entry whose key raises, once
+
+    def flaky(*args):
+        if len(system._points) in raising:
+            raising.clear()
+            raise DomainError("flaky key")
+        return screen[key](*args)
+
+    keys = list(screen)
+    keys[key] = flaky
+    system = DecidableSystem(division_system().decide, 2, screen=tuple(keys))
+    with pytest.raises(DomainError):
+        system.members_prefix(300)
+    assert not raising
+    assert system.members_prefix(300) == division_system().members_prefix(300)
 
 
 def test_screen_skips_most_decide_calls_and_only_where_stated():
